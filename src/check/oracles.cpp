@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "assign/hungarian.h"
@@ -23,6 +25,23 @@
 #include "util/rng.h"
 
 namespace nocmap::check {
+
+double reference_objective(const ObmProblem& problem,
+                           const ThreadCostCache& cache,
+                           std::span<const TileId> perm) {
+  const Workload& wl = problem.workload();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < wl.num_applications(); ++i) {
+    double cost = 0.0;
+    double rate = 0.0;
+    for (std::size_t j = wl.first_thread(i); j < wl.last_thread(i); ++j) {
+      cost += cache.row(j)[perm[j]];
+      rate += cache.rate(j);
+    }
+    if (rate > 0.0) worst = std::max(worst, problem.app_weight(i) * cost / rate);
+  }
+  return worst;
+}
 
 namespace {
 
@@ -96,7 +115,7 @@ OracleResult run_mapper_sanity(const ScenarioSpec& spec) {
     }
 
     // Incremental evaluator vs the batch metrics path.
-    MappingEvaluator eval(problem, mapping);
+    MappingEvaluator eval(problem, mapping, cache);
     const LatencyReport report = evaluate(problem, mapping);
     if (!rel_close(eval.max_apl(), report.max_apl)) {
       std::ostringstream os;
@@ -115,7 +134,7 @@ OracleResult run_mapper_sanity(const ScenarioSpec& spec) {
   // Evaluator purity: after a storm of incremental swaps the live state
   // must equal a from-scratch recomputation (the parallel engine's
   // bit-identity contract rests on this).
-  MappingEvaluator eval(problem, problem.identity_mapping());
+  MappingEvaluator eval(problem, problem.identity_mapping(), cache);
   Rng rng(spec.seed, 0x73776170ULL);
   const auto n = static_cast<std::uint32_t>(problem.num_threads());
   for (int i = 0; i < 64; ++i) {
@@ -361,57 +380,49 @@ OracleResult run_netsim_rank(const ScenarioSpec& spec) {
 // ---------------------------------------------------------------------------
 // batch_eval
 
-/// Differential check of every batched scoring path against the scalar
-/// evaluator it replaces. The batched paths advertise bit-identity (except
-/// the annealer's delta-substitution prescore, which advertises ulp-level
-/// agreement), so the comparisons here are ==, not rel_close: any rounding
-/// reordering introduced into the batch kernels fails the fuzz campaign
-/// immediately.
+/// Differential check of every entry point of the shared eq.-5 kernel
+/// against reference_objective(), an independent scalar reduction. The
+/// kernel advertises bit-identity, so the comparisons here are !=, not
+/// rel_close: any rounding reordering introduced into it fails the fuzz
+/// campaign immediately.
 OracleResult run_batch_eval(const ScenarioSpec& spec) {
-  const ObmProblem problem = build_problem(spec);
+  const ObmProblem unweighted = build_problem(spec);
+  Rng rng(spec.seed, 0x62617463ULL);
+  // Service weights other than 1 make the association of (w·Σcost)/Σrate
+  // observable.
+  std::vector<double> weights(unweighted.num_applications());
+  for (double& w : weights) w = 0.5 + rng.uniform();
+  const ObmProblem problem(unweighted.model(), unweighted.workload(),
+                           std::move(weights));
   const ThreadCostCache cache(problem.workload(), problem.model());
   const BatchEvaluator batch_eval(problem, cache);
   const std::size_t n = problem.num_threads();
-  Rng rng(spec.seed, 0x62617463ULL);
 
   // Batch sizes cover the degenerate single lane, a ragged tail over the
   // pruning sub-block, and a full multiple of the internal lane block.
   static constexpr std::size_t kBatchSizes[] = {1, 7, 32, 129};
   for (const std::size_t count : kBatchSizes) {
     CandidateBatch batch(n, count);
-    std::vector<std::vector<TileId>> perms(count);
+    std::vector<TileId> rows(count * n);
+    std::vector<double> truth(count);
     for (std::size_t b = 0; b < count; ++b) {
       const std::vector<std::size_t> p = random_permutation(n, rng);
-      perms[b].assign(p.begin(), p.end());
-      batch.load(b, perms[b]);
+      const std::span<TileId> perm(&rows[b * n], n);
+      std::copy(p.begin(), p.end(), perm.begin());
+      batch.load(b, perm);
+      truth[b] = reference_objective(problem, cache, perm);
     }
 
     std::vector<double> scores(count);
     batch_eval.score(batch, count, scores);
-    for (std::size_t b = 0; b < count; ++b) {
-      Mapping m;
-      m.thread_to_tile = perms[b];
-      const MappingEvaluator scalar(problem, std::move(m), cache);
-      if (scores[b] != scalar.objective()) {
-        std::ostringstream os;
-        os << "batch score[" << b << "] of " << count << " = " << scores[b]
-           << " != scalar objective " << scalar.objective();
-        return fail(os.str());
-      }
-    }
-
-    // score_rows (candidate-major, the GA pool layout) must agree exactly.
-    std::vector<TileId> rows(count * n);
-    for (std::size_t b = 0; b < count; ++b) {
-      std::copy(perms[b].begin(), perms[b].end(), &rows[b * n]);
-    }
     std::vector<double> row_scores(count);
     batch_eval.score_rows(rows.data(), n, count, row_scores);
     for (std::size_t b = 0; b < count; ++b) {
-      if (row_scores[b] != scores[b]) {
+      if (scores[b] != truth[b] || row_scores[b] != truth[b]) {
         std::ostringstream os;
-        os << "score_rows[" << b << "] = " << row_scores[b]
-           << " != transposed batch score " << scores[b];
+        os << std::setprecision(17) << "lane " << b << " of " << count
+           << ": score " << scores[b] << ", score_rows " << row_scores[b]
+           << ", reference " << truth[b];
         return fail(os.str());
       }
     }
@@ -419,91 +430,65 @@ OracleResult run_batch_eval(const ScenarioSpec& spec) {
     // Pruned scoring post-condition: below the cutoff the score is exact;
     // at or above it the true score is guaranteed >= the cutoff.
     const double cutoff =
-        scores[rng.uniform_u32(static_cast<std::uint32_t>(count))];
+        truth[rng.uniform_u32(static_cast<std::uint32_t>(count))];
     std::vector<double> pruned(count);
     batch_eval.score_pruned(batch, count, cutoff, pruned);
     for (std::size_t b = 0; b < count; ++b) {
-      if (pruned[b] < cutoff && pruned[b] != scores[b]) {
+      if (pruned[b] < cutoff ? pruned[b] != truth[b] : truth[b] < cutoff) {
         std::ostringstream os;
-        os << "pruned score[" << b << "] = " << pruned[b]
-           << " claims exactness below cutoff " << cutoff
-           << " but the exact score is " << scores[b];
-        return fail(os.str());
-      }
-      if (pruned[b] >= cutoff && scores[b] < cutoff) {
-        std::ostringstream os;
-        os << "pruned score[" << b << "] = " << pruned[b]
-           << " reports >= cutoff " << cutoff
-           << " but the exact score " << scores[b] << " is below it";
+        os << std::setprecision(17) << "pruned score[" << b << "] = "
+           << pruned[b] << " at cutoff " << cutoff
+           << " but the reference score is " << truth[b];
         return fail(os.str());
       }
     }
   }
 
-  // score_group_candidates vs the mutating apply/revert probe it replaced
-  // in the SSS window sweep: bit-identical by contract.
-  {
-    MappingEvaluator eval(problem, problem.identity_mapping(), cache);
-    const auto un = static_cast<std::uint32_t>(n);
-    for (int i = 0; i < 16; ++i) {
-      eval.swap_threads(rng.uniform_u32(un), rng.uniform_u32(un));
+  // Group scoring on a live evaluator (the SSS window path), against the
+  // reference on each candidate's full mapping and against the objective
+  // an apply_group of that candidate reports.
+  MappingEvaluator eval(problem, problem.identity_mapping(), cache);
+  const auto un = static_cast<std::uint32_t>(n);
+  for (int i = 0; i < 16; ++i) {
+    eval.swap_threads(rng.uniform_u32(un), rng.uniform_u32(un));
+  }
+  const std::size_t w = 2 + rng.uniform_u32(3);  // window of 2..4 threads
+  std::vector<std::size_t> threads;
+  while (threads.size() < w) {
+    const std::size_t j = rng.uniform_u32(un);
+    if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
+      threads.push_back(j);
     }
-    const std::size_t w = 2 + rng.uniform_u32(3);  // window of 2..4 threads
-    std::vector<std::size_t> threads;
-    while (threads.size() < w) {
-      const std::size_t j = rng.uniform_u32(un);
-      if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
-        threads.push_back(j);
-      }
-    }
-    std::vector<TileId> held(w);
+  }
+  std::vector<TileId> held(w);
+  for (std::size_t x = 0; x < w; ++x) {
+    held[x] = eval.mapping().tile_of(threads[x]);
+  }
+  // All cyclic rotations of the held tiles, transposed position-major.
+  const std::size_t count = w;
+  std::vector<TileId> cands(w * count);
+  for (std::size_t b = 0; b < count; ++b) {
     for (std::size_t x = 0; x < w; ++x) {
-      held[x] = eval.mapping().tile_of(threads[x]);
+      cands[x * count + b] = held[(x + b) % w];
     }
-    // All cyclic rotations of the held tiles, transposed position-major.
-    const std::size_t count = w;
-    std::vector<TileId> cands(w * count);
-    for (std::size_t b = 0; b < count; ++b) {
-      for (std::size_t x = 0; x < w; ++x) {
-        cands[x * count + b] = held[(x + b) % w];
-      }
-    }
-    std::vector<double> group_scores(count);
-    eval.score_group_candidates(threads, cands.data(), count, group_scores);
-    std::vector<TileId> applied(w);
-    for (std::size_t b = 0; b < count; ++b) {
-      for (std::size_t x = 0; x < w; ++x) applied[x] = cands[x * count + b];
-      eval.apply_group(threads, applied);
-      const double truth = eval.objective();
-      eval.apply_group(threads, held);  // exact revert
-      if (group_scores[b] != truth) {
-        std::ostringstream os;
-        os << "score_group_candidates[" << b << "] = " << group_scores[b]
-           << " != apply_group objective " << truth;
-        return fail(os.str());
-      }
-    }
-
-    // score_swap_candidates (the annealer's prescore) advertises ulp-level
-    // agreement with swap + objective + revert, not bit-identity.
-    std::vector<SwapProposal> proposals(24);
-    for (SwapProposal& p : proposals) {
-      p.j1 = rng.uniform_u32(un);
-      p.j2 = rng.uniform_u32(un);
-    }
-    std::vector<double> swap_scores(proposals.size());
-    eval.score_swap_candidates(proposals, swap_scores);
-    for (std::size_t p = 0; p < proposals.size(); ++p) {
-      eval.swap_threads(proposals[p].j1, proposals[p].j2);
-      const double truth = eval.objective();
-      eval.swap_threads(proposals[p].j1, proposals[p].j2);  // revert
-      if (!rel_close(swap_scores[p], truth)) {
-        std::ostringstream os;
-        os << "score_swap_candidates[" << p << "] (" << proposals[p].j1
-           << "<->" << proposals[p].j2 << ") = " << swap_scores[p]
-           << " not within 1e-9 of the canonical objective " << truth;
-        return fail(os.str());
-      }
+  }
+  std::vector<double> group_scores(count);
+  eval.score_group_candidates(threads, cands.data(), count, group_scores);
+  std::vector<TileId> applied(w);
+  for (std::size_t b = 0; b < count; ++b) {
+    for (std::size_t x = 0; x < w; ++x) applied[x] = cands[x * count + b];
+    eval.apply_group(threads, applied);
+    const double truth =
+        reference_objective(problem, cache, eval.mapping().thread_to_tile);
+    const double applied_obj = eval.objective();
+    eval.apply_group(threads, held);  // exact revert
+    if (group_scores[b] != truth || applied_obj != truth) {
+      std::ostringstream os;
+      os << std::setprecision(17) << "group candidate " << b
+         << ": score_group_candidates "
+         << group_scores[b] << ", apply_group objective " << applied_obj
+         << ", reference " << truth;
+      return fail(os.str());
     }
   }
   return {};
@@ -701,7 +686,7 @@ constexpr Oracle kOracles[] = {
      "online mapping service honors budget, quality bound and bookkeeping",
      always, run_service_replay},
     {"batch_eval",
-     "batched candidate scoring bit-matches the scalar evaluator",
+     "every eq. 5 kernel entry point bit-matches the reference reduction",
      always, run_batch_eval},
 };
 

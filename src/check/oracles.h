@@ -36,6 +36,9 @@
 //                          vs recompute, incremental objective vs the batch
 //                          evaluator, lower-bound validity against a fresh
 //                          SSS solve, and 1-vs-2-worker decision equality.
+//   batch_eval           — every entry point of the shared eq.-5 kernel
+//                          (score, score_rows, score_pruned, group
+//                          scoring) bit-equal to reference_objective().
 #pragma once
 
 #include <span>
@@ -43,8 +46,19 @@
 #include <string_view>
 
 #include "check/scenario.h"
+#include "core/cost_cache.h"
+#include "core/problem.h"
 
 namespace nocmap::check {
+
+/// Reference eq. 5 objective for the `batch_eval` oracle and the evaluator
+/// tests: per application, cost-cache entries summed thread-ascending,
+/// (w·Σcost)/Σrate, then the max over applications with traffic. Kept
+/// deliberately naive and separate from BatchEvaluator, whose every score
+/// must equal it bit-for-bit.
+double reference_objective(const ObmProblem& problem,
+                           const ThreadCostCache& cache,
+                           std::span<const TileId> perm);
 
 struct OracleResult {
   bool ok = true;

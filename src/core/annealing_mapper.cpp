@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/batch_eval.h"
 #include "core/cost_cache.h"
 #include "core/evaluator.h"
 #include "obs/metrics.h"
@@ -91,6 +92,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   const std::size_t n = problem.num_threads();
   const std::size_t num_apps = problem.num_applications();
   const ThreadCostCache cache(problem.workload(), problem.model());
+  const BatchEvaluator table(problem, cache);
 
   struct ChainResult {
     Mapping best;
@@ -110,8 +112,8 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   // Cooling schedule shared by both chain variants: relative to the
   // max-APL magnitude so acceptance probabilities stay meaningful for all
   // objectives.
-  auto cooling = [&](const MappingEvaluator& eval) {
-    const double scale = std::max(eval.max_apl(), 1.0);
+  auto cooling = [&](double initial_max_apl) {
+    const double scale = std::max(initial_max_apl, 1.0);
     const double t0 = std::max(params_.initial_temp_fraction * scale, 1e-9);
     const double t_end = std::max(t0 * params_.final_temp_fraction, 1e-12);
     const double alpha =
@@ -120,14 +122,15 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
   };
 
   // Flat max-APL chain: the hot configuration (the paper's OBM objective).
-  // The chain owns its whole state as flat arrays — permutation, per-app
-  // numerators, per-app weighted APLs — and fuses move scoring into the
-  // walk: each proposal is scored against the *current* state by the same
-  // delta substitution MappingEvaluator::score_swap_candidates performs
-  // (4 cost-row lookups, affected numerators re-derived, weighted max over
-  // applications), so there is never a stale prescore to discard, and an
-  // accepted move commits with a handful of stores instead of a canonical
-  // O(N/A) recompute. Proposals are pre-drawn in blocks of 64 (two bounded
+  // The chain reads its per-application factors, thread→application
+  // lookup and canonical numerators from the shared table, owns its state
+  // as flat arrays — permutation, per-app numerators, per-app weighted
+  // APLs — and fuses move scoring into the walk: each proposal is scored
+  // against the *current* state by delta substitution (4 cost-row lookups,
+  // affected numerators re-derived, weighted max over applications), so
+  // there is never a stale prescore to discard, and an accepted move
+  // commits with a handful of stores instead of a canonical O(N/A)
+  // recompute. Proposals are pre-drawn in blocks of 64 (two bounded
   // indices per raw PCG draw, multiply-shift, bias < 1e-6 — irrelevant for
   // a Metropolis walk) so the generator's serial dependency chain is off
   // the scoring path.
@@ -156,21 +159,15 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     Mapping state = initial_mapping(rng);
     std::vector<TileId>& perm = state.thread_to_tile;
 
-    // Frozen per-app tables. inv_wden folds the zero-traffic guard: apps
-    // with no traffic get factor 0, contributing 0 to the max exactly as
-    // the canonical objective() skips them (all weighted APLs are >= 0).
-    const Workload& wl = problem.workload();
-    std::vector<std::uint32_t> app_of(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      app_of[j] = static_cast<std::uint32_t>(wl.application_of(j));
-    }
+    // Frozen per-app factors from the shared table. inv_wden folds the
+    // zero-traffic guard: apps with no traffic get factor 0, contributing 0
+    // to the max exactly as the canonical objective skips them (all
+    // weighted APLs are >= 0).
+    const std::span<const std::uint32_t> app_of = table.thread_apps();
     std::vector<double> inv_wden(num_apps, 0.0);
-    std::vector<double> den(num_apps, 0.0);
     for (std::size_t a = 0; a < num_apps; ++a) {
-      for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
-        den[a] += wl.thread(j).total_rate();
-      }
-      if (den[a] > 0.0) inv_wden[a] = problem.app_weight(a) / den[a];
+      const BatchEvaluator::AppSlice& app = table.apps()[a];
+      if (app.volume > 0.0) inv_wden[a] = app.weight / app.volume;
     }
 
     std::vector<double> num(num_apps);
@@ -180,12 +177,8 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     auto renormalize = [&]() -> double {
       double worst = 0.0;
       for (std::size_t a = 0; a < num_apps; ++a) {
-        double sum = 0.0;
-        for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
-          sum += cache.cost(j, perm[j]);
-        }
-        num[a] = sum;
-        wapl[a] = sum * inv_wden[a];
+        num[a] = table.numerator(a, perm);
+        wapl[a] = num[a] * inv_wden[a];
         worst = std::max(worst, wapl[a]);
       }
       return worst;
@@ -193,8 +186,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     double current = renormalize();
     ChainResult result{state, current};
 
-    const MappingEvaluator cooling_eval(problem, state, cache);
-    const auto [t0, alpha] = cooling(cooling_eval);
+    const auto [t0, alpha] = cooling(table.max_apl(num));
 
     constexpr std::size_t kBlock = 64;
     std::uint32_t j1s[kBlock];
@@ -271,7 +263,8 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     }
     // Canonical objective of the best mapping, so the restart merge (and
     // the reported quality) never carries delta-arithmetic drift.
-    result.obj = MappingEvaluator(problem, result.best, cache).objective();
+    table.score_rows(result.best.thread_to_tile.data(), n, 1,
+                     std::span<double>(&result.obj, 1));
     c_chains.add();
     c_iterations.add(params_.iterations);
     c_accepts.add(accepts);
@@ -284,7 +277,7 @@ Mapping AnnealingMapper::map(const ObmProblem& problem) {
     MappingEvaluator eval(problem, initial_mapping(rng), cache);
     double current = objective_value(eval, num_apps, params_.objective);
     ChainResult result{eval.mapping(), current};
-    const auto [t0, alpha] = cooling(eval);
+    const auto [t0, alpha] = cooling(eval.max_apl());
 
     double temp = t0;
     std::uint64_t iterations = 0;

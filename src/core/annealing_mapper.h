@@ -2,11 +2,11 @@
 //
 // State: a thread-to-tile permutation. Move: swap the tiles of two uniformly
 // random threads (the paper's definition of a "move"). Objective: max-APL,
-// evaluated incrementally in O(A) per move via MappingEvaluator. Cooling is
-// geometric from an initial temperature proportional to the starting
-// objective down to a fixed terminal fraction; the iteration budget is a
-// parameter so Figure 12 (solution quality vs. allowed runtime) can sweep
-// it.
+// evaluated incrementally in O(A) per move from the shared eq.-5 table
+// (core/batch_eval.h). Cooling is geometric from an initial temperature
+// proportional to the starting objective down to a fixed terminal
+// fraction; the iteration budget is a parameter so Figure 12 (solution
+// quality vs. allowed runtime) can sweep it.
 #pragma once
 
 #include <cstdint>

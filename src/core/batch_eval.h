@@ -1,30 +1,32 @@
-// Batched candidate-mapping evaluation (ROADMAP item 2).
+// The one eq.-5 scorer: the per-application table and the lane kernel
+// every mapper's objective goes through.
 //
-// Every search mapper scores permutations through the same reduction: per
-// application, sum the eq.-13 costs of its threads' tiles in thread order,
-// divide by the (mapping-independent) traffic volume, and take the weighted
-// max over applications. Scored one candidate at a time that reduction is
-// latency-bound: each += waits ~4 cycles on the previous one, and the cost
-// row pointer chases the candidate's tiles.
+// Eq. 5 per application i is Σ_j cost(j, π(j)) / Σ_j (c_j + m_j) over its
+// threads, and the OBM objective (eqs. 6–7) is the weighted max over
+// applications. BatchEvaluator owns the table that reduction needs —
+// thread range, service weight, traffic volume (summed thread-ascending
+// from the cost cache's rates; applications without traffic are never
+// folded) — and the one kernel that folds it. MappingEvaluator, the GA's
+// delta-tracked fitness, the annealer's max-APL chain and the exact solver
+// all read their slices, thread→application lookup and fold from here.
 //
-// BatchEvaluator restructures the pass around *transposed* candidate
-// storage (CandidateBatch): a batch of K candidate mappings is stored
-// tile-major, tiles[j·K + b] = candidate b's tile for thread j, so the
-// scorer makes ONE contiguous pass over the padded cost rows (thread-outer,
-// candidate-inner) with K independent accumulators. The inner loop is a
-// contiguous gather-and-add with no cross-iteration dependence, which the
-// compiler auto-vectorizes and the core overlaps — ~6× per candidate versus
-// the scalar loop at K ≥ 8.
+// Scored one candidate at a time the reduction is latency-bound: each +=
+// waits ~4 cycles on the previous one, and the cost row pointer chases the
+// candidate's tiles. The kernel instead scores a block of lanes per pass,
+// thread-outer and lane-inner, over *transposed* candidate storage
+// (CandidateBatch: tiles[j·K + b] = candidate b's tile for thread j), so it
+// makes ONE contiguous pass over the padded cost rows with K independent
+// accumulators. The inner loop is a contiguous gather-and-add with no
+// cross-iteration dependence, which the compiler auto-vectorizes and the
+// core overlaps — ~6× per candidate versus the scalar loop at K ≥ 8.
 //
-// Bit-identity contract: for every candidate b, score() performs the
-// floating-point operations of the scalar reduction in the identical order
-// (per application, costs added thread-ascending; objective combined as
-// (w·Σcost)/Σrate; max over applications). The result is therefore
-// bit-identical to MappingEvaluator::objective() on the same permutation —
-// the `batch_eval` fuzz oracle and tests/test_evaluator_batch.cpp hold the
-// two implementations to exact equality. Volumes are pre-summed at
-// construction in the same thread-ascending order (not from the cache's
-// prefix sums, which round differently).
+// Bit-identity contract: every entry point performs the same floating-point
+// operations in the same order — per application, costs added
+// thread-ascending; each term (w·Σcost)/Σrate; max over applications — so
+// a score does not depend on the entry point, the lane count or the block
+// it landed in. The `batch_eval` fuzz oracle and
+// tests/test_evaluator_batch.cpp hold every entry point to exact equality
+// with an independent reference reduction (check::reference_objective).
 //
 // score_pruned() adds the Monte-Carlo search refinement: given a cutoff
 // (the best objective seen so far), a sub-block of candidates whose partial
@@ -32,9 +34,16 @@
 // win, so the remaining applications are skipped. Pruning is exact: a lane
 // returns either its bit-identical full score (when that score < cutoff) or
 // a partial max that is provably >= cutoff.
+//
+// score_group() is the SSS window scorer: candidates re-assign a few
+// threads on top of a live mapping, so only the applications owning those
+// threads are re-summed (window threads read the candidate's tile, all
+// others the live tile) and the untouched applications are folded once
+// from their stored numerators.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -97,13 +106,59 @@ class BatchEvaluator {
   /// cutoff), and 8 doubles still fill a vector register file.
   static constexpr std::size_t kPruneLanes = 8;
 
+  /// One application's row of the eq.-5 table.
+  struct AppSlice {
+    std::uint32_t first = 0;  // global thread range [first, last)
+    std::uint32_t last = 0;
+    double weight = 1.0;
+    double volume = 0.0;  // Σ rate, summed thread-ascending
+
+    /// The application's term of the objective: w·APL, with the
+    /// association every score uses. Only meaningful when volume > 0.
+    double weighted_apl(double numerator) const {
+      return weight * numerator / volume;
+    }
+  };
+
   /// Problem and cache are kept by reference and must outlive the
   /// evaluator. The evaluator is immutable after construction, so any
   /// number of workers may score through it concurrently.
   BatchEvaluator(const ObmProblem& problem, const ThreadCostCache& cache);
 
-  /// Scores lanes [0, count) of the batch; out[b] is bit-identical to the
-  /// scalar OBM objective (MappingEvaluator::objective()) of lane b.
+  std::size_t num_threads() const { return app_of_.size(); }
+  const ThreadCostCache& cache() const { return *cache_; }
+
+  /// The table, one slice per application in workload order.
+  std::span<const AppSlice> apps() const { return apps_; }
+  /// Application owning each global thread.
+  std::span<const std::uint32_t> thread_apps() const { return app_of_; }
+  std::size_t app_of(std::size_t thread) const { return app_of_[thread]; }
+
+  /// Σ cost(j, perm[j]) over the application's threads, thread-ascending:
+  /// the canonical eq.-5 numerator.
+  double numerator(std::size_t app, std::span<const TileId> perm) const;
+  /// APL of one application from its numerator; 0 without traffic.
+  double apl(std::size_t app, double numerator) const;
+  /// Max APL over applications with traffic (unweighted).
+  double max_apl(std::span<const double> numerators) const;
+  /// The OBM objective max_i w_i·APL_i over applications with traffic,
+  /// skipping the applications listed in `skip` (ascending). Inline: the
+  /// GA folds every offspring's tracked numerators through it.
+  double objective(std::span<const double> numerators,
+                   std::span<const std::uint32_t> skip = {}) const {
+    double worst = 0.0;
+    auto next_skip = skip.begin();
+    for (const std::uint32_t i : live_) {
+      while (next_skip != skip.end() && *next_skip < i) ++next_skip;
+      if (next_skip != skip.end() && *next_skip == i) continue;
+      const double apl = apps_[i].weighted_apl(numerators[i]);
+      if (apl > worst) worst = apl;
+    }
+    return worst;
+  }
+
+  /// Scores lanes [0, count) of the batch: out[b] is the OBM objective of
+  /// lane b's permutation.
   void score(const CandidateBatch& batch, std::size_t count,
              std::span<double> out) const;
 
@@ -115,29 +170,48 @@ class BatchEvaluator {
                     double cutoff, std::span<double> out) const;
 
   /// Scores `count` candidate-major permutations stored in consecutive
-  /// rows: candidate b's tile for thread j is rows[b·stride + j]. Same
-  /// bit-identity contract as score(); used where candidates already live
-  /// candidate-major (the GA's genome pool) so no transpose is paid.
+  /// rows: candidate b's tile for thread j is rows[b·stride + j]. Used
+  /// where candidates already live candidate-major (the GA's genome pool)
+  /// so no transpose is paid; one row scores a single mapping.
   void score_rows(const TileId* rows, std::size_t stride, std::size_t count,
                   std::span<double> out) const;
 
-  std::size_t num_threads() const { return num_threads_; }
+  /// Scores `count` candidate re-assignments of one thread group on top of
+  /// the mapping `live`, whose per-application numerators are `numerators`
+  /// (canonical, see numerator()). All candidates share the thread set:
+  /// candidate b re-assigns threads[x] to tiles[x·count + b] (transposed,
+  /// one contiguous row of candidate tiles per group position). out[b] is
+  /// the objective of `live` with candidate b applied: each application
+  /// owning a group thread is re-summed in canonical order with the
+  /// candidate's tiles substituted, never by delta arithmetic.
+  void score_group(std::span<const TileId> live,
+                   std::span<const double> numerators,
+                   std::span<const std::size_t> threads, const TileId* tiles,
+                   std::size_t count, std::span<double> out) const;
 
  private:
-  struct AppSlice {
-    std::uint32_t first = 0;  // global thread range [first, last)
-    std::uint32_t last = 0;
-    double weight = 1.0;
-    double volume = 0.0;  // Σ rate, summed thread-ascending
+  /// One thread's tiles across the lanes of a block: lane b reads
+  /// tiles[b·stride]; stride 0 means every lane shares tiles[0].
+  struct LaneTiles {
+    const TileId* tiles;
+    std::size_t stride;
   };
 
-  template <bool Pruned, typename TileAt>
-  void score_block(std::size_t lanes, double cutoff, double* out,
-                   const TileAt& tile_at) const;
+  /// The lane kernel: folds the applications `apps` (ascending, all with
+  /// traffic) into out[b] = max(base, max_i w_i·APL_i of lane b), reading
+  /// lane b's tile for thread j through tiles_of(j). `Shared` enables the
+  /// stride-0 broadcast path; without it the per-thread body stays
+  /// branch-free, which lets the compiler jam consecutive threads into one
+  /// lane pass.
+  template <bool Pruned, bool Shared, typename TilesOf>
+  void score_block(std::span<const std::uint32_t> apps, double base,
+                   std::size_t lanes, double cutoff, double* out,
+                   const TilesOf& tiles_of) const;
 
   const ThreadCostCache* cache_;
-  std::vector<AppSlice> apps_;  // only applications with volume > 0
-  std::size_t num_threads_;
+  std::vector<AppSlice> apps_;           // every application
+  std::vector<std::uint32_t> live_;      // applications with volume > 0
+  std::vector<std::uint32_t> app_of_;    // thread -> application
 };
 
 }  // namespace nocmap

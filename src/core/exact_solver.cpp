@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/batch_eval.h"
 #include "core/bounds.h"
 #include "core/cost_cache.h"
 #include "core/metrics.h"
@@ -14,14 +15,10 @@ namespace nocmap {
 namespace {
 
 struct SearchState {
-  const ObmProblem* problem;
-  const ThreadCostCache* cache;
+  const BatchEvaluator* table;  // eq.-5 slices, fold and cost cache
   ExactSolverOptions options;
 
   std::vector<std::size_t> thread_order;  // descending total rate
-  std::vector<double> app_denominator;
-  std::vector<double> app_weight;
-  std::vector<std::size_t> app_of;
 
   // Per thread: the tiles 0..n-1 sorted by that thread's cost, ascending.
   // Costs never change during the search, so the per-node sort the solver
@@ -48,18 +45,7 @@ struct SearchState {
   bool budget_hit = false;
 
   double cost(std::size_t thread, TileId tile) const {
-    return cache->cost(thread, tile);
-  }
-
-  double objective() const {
-    double worst = 0.0;
-    for (std::size_t a = 0; a < app_numerator.size(); ++a) {
-      if (app_denominator[a] > 0.0) {
-        worst = std::max(
-            worst, app_weight[a] * app_numerator[a] / app_denominator[a]);
-      }
-    }
-    return worst;
+    return table->cache().cost(thread, tile);
   }
 
   /// Optimistic lower bound for the subtree at `depth` (threads
@@ -67,11 +53,10 @@ struct SearchState {
   double lower_bound(std::size_t depth) const {
     double worst = global_lb;
     for (std::size_t a = 0; a < app_numerator.size(); ++a) {
-      if (app_denominator[a] > 0.0) {
-        worst = std::max(worst,
-                         app_weight[a] *
-                             (app_numerator[a] + optimistic_tail[depth][a]) /
-                             app_denominator[a]);
+      const BatchEvaluator::AppSlice& app = table->apps()[a];
+      if (app.volume > 0.0) {
+        worst = std::max(worst, app.weighted_apl(app_numerator[a] +
+                                                 optimistic_tail[depth][a]));
       }
     }
     return worst;
@@ -84,7 +69,7 @@ struct SearchState {
       return;
     }
     if (depth == thread_order.size()) {
-      const double obj = objective();
+      const double obj = table->objective(app_numerator);
       if (obj < best_obj) {
         best_obj = obj;
         best_assignment = assigned_tile;
@@ -94,7 +79,7 @@ struct SearchState {
     if (lower_bound(depth) >= best_obj) return;  // prune
 
     const std::size_t j = thread_order[depth];
-    const std::size_t app = app_of[j];
+    const std::size_t app = table->app_of(j);
 
     // Cheapest-first for this thread so good incumbents come early.
     for (TileId tile : tile_order[j]) {
@@ -120,22 +105,11 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
 
   const Workload& wl = problem.workload();
   const ThreadCostCache cache(wl, problem.model());
+  const BatchEvaluator table(problem, cache);
 
   SearchState st;
-  st.problem = &problem;
-  st.cache = &cache;
+  st.table = &table;
   st.options = options;
-
-  st.app_of.resize(n);
-  st.app_denominator.assign(wl.num_applications(), 0.0);
-  st.app_weight.resize(wl.num_applications());
-  for (std::size_t a = 0; a < wl.num_applications(); ++a) {
-    st.app_weight[a] = problem.app_weight(a);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    st.app_of[j] = wl.application_of(j);
-    st.app_denominator[st.app_of[j]] += cache.rate(j);
-  }
 
   // Branch on hot threads first: their placement moves the bound most.
   st.thread_order.resize(n);
@@ -161,7 +135,8 @@ ExactResult solve_obm_exact(const ObmProblem& problem,
   for (std::size_t d = n; d-- > 0;) {
     st.optimistic_tail[d] = st.optimistic_tail[d + 1];
     const std::size_t j = st.thread_order[d];
-    st.optimistic_tail[d][st.app_of[j]] += cache.row(j)[st.tile_order[j][0]];
+    st.optimistic_tail[d][table.app_of(j)] +=
+        cache.row(j)[st.tile_order[j][0]];
   }
 
   // Problem-wide bound from the warm-started assignment relaxations.

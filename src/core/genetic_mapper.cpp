@@ -47,19 +47,6 @@ inline std::pair<std::uint32_t, std::uint32_t> bounded_pair(
           static_cast<std::uint32_t>(m2 >> 32)};
 }
 
-/// Per-application view used by the delta-tracked fitness: the same slices
-/// the batch evaluator scores (zero-volume applications dropped, volume
-/// summed thread-ascending, objective term (weight · numerator) / volume),
-/// so a fitness value derived from tracked numerators bit-matches a fresh
-/// scalar or batched evaluation of the same genome up to the accumulated
-/// delta rounding (bounded far below any selection-relevant difference).
-struct GaApp {
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-  double weight = 0.0;
-  double volume = 0.0;
-};
-
 /// Partially mapped crossover in the copy-then-repair formulation: the
 /// child starts as a full row copy of parent b, the segment [lo, hi] is
 /// overwritten from parent a, and only the values that overwrite displaced
@@ -143,42 +130,16 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
   const BatchEvaluator evaluator(problem, cache);
   ParallelTrialRunner runner(params_.parallel);
 
-  // Per-application slices for the delta-tracked fitness, constructed
-  // exactly as the batch evaluator builds its own (thread-ascending volume
-  // sums, zero-volume applications dropped), so numerator-derived fitness
-  // values bit-match the batched scorer on identical genomes. Threads of
-  // dropped applications route their (never-read) contributions to a dummy
-  // trailing slot, keeping the per-position delta updates branch-free.
-  const Workload& wl = problem.workload();
-  std::vector<GaApp> apps;
-  apps.reserve(wl.num_applications());
-  for (std::size_t i = 0; i < wl.num_applications(); ++i) {
-    GaApp app;
-    app.first = static_cast<std::uint32_t>(wl.first_thread(i));
-    app.last = static_cast<std::uint32_t>(wl.last_thread(i));
-    app.weight = problem.app_weight(i);
-    double volume = 0.0;
-    for (std::uint32_t j = app.first; j < app.last; ++j) {
-      volume += cache.rate(j);
-    }
-    app.volume = volume;
-    if (volume > 0.0) apps.push_back(app);
-  }
-  const std::size_t num_slots = apps.size() + 1;  // + dummy slot
-  std::vector<std::uint32_t> app_slot(n,
-                                      static_cast<std::uint32_t>(apps.size()));
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    for (std::uint32_t j = apps[a].first; j < apps[a].last; ++j) {
-      app_slot[j] = static_cast<std::uint32_t>(a);
-    }
-  }
+  // Per-application numerators for the delta-tracked fitness are indexed
+  // like the batch evaluator's table and folded by its objective(), so
+  // numerator-derived fitness values bit-match the batched scorer on
+  // identical genomes. Threads of applications without traffic update
+  // their (never folded) numerators too, keeping the per-position delta
+  // updates branch-free.
+  const std::size_t num_slots = problem.num_applications();
+  const std::uint32_t* app_slot = evaluator.thread_apps().data();
   auto fitness_from = [&](const double* num) {
-    double worst = 0.0;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-      const double apl = apps[a].weight * num[a] / apps[a].volume;
-      if (apl > worst) worst = apl;
-    }
-    return worst;
+    return evaluator.objective(std::span<const double>(num, num_slots));
   };
 
   // Two persistent generations as flat genome pools (row k = genome k),
@@ -324,12 +285,12 @@ Mapping GeneticMapper::map(const ObmProblem& problem) {
         // a row copy of) and pmx_into folds in the divergence deltas.
         std::copy_n(&pop_num[pb * num_slots], num_slots, c1_num);
         pmx_into(&pop[pa * n], &pop[pb * n], &pop_inv[pa * n],
-                 &pop_inv[pb * n], lo, hi, n, cache, app_slot.data(), c1,
+                 &pop_inv[pb * n], lo, hi, n, cache, app_slot, c1,
                  c1_inv, c1_num, pmx_displaced.data(), pmx_diffs.data());
         if (twins) {
           std::copy_n(&pop_num[pa * num_slots], num_slots, c2_num);
           pmx_into(&pop[pb * n], &pop[pa * n], &pop_inv[pb * n],
-                   &pop_inv[pa * n], lo, hi, n, cache, app_slot.data(), c2,
+                   &pop_inv[pa * n], lo, hi, n, cache, app_slot, c2,
                    c2_inv, c2_num, pmx_displaced.data(), pmx_diffs.data());
         }
       } else {

@@ -1,9 +1,39 @@
 #include "core/mapping_io.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <string>
 
 namespace nocmap {
+
+namespace {
+
+/// One unsigned decimal cell: digits only (no sign, no blanks), the whole
+/// cell consumed, and the value at most `max`.
+std::uint64_t parse_index(const std::string& cell, std::uint64_t max,
+                          std::size_t line_no) {
+  NOCMAP_REQUIRE(!cell.empty() &&
+                     std::all_of(cell.begin(), cell.end(),
+                                 [](unsigned char c) {
+                                   return std::isdigit(c) != 0;
+                                 }),
+                 "non-numeric value on mapping CSV line " +
+                     std::to_string(line_no));
+  try {
+    const std::uint64_t v = std::stoull(cell);
+    NOCMAP_REQUIRE(v <= max, "value out of range on mapping CSV line " +
+                                 std::to_string(line_no));
+    return v;
+  } catch (const std::out_of_range&) {
+    throw Error("value out of range on mapping CSV line " +
+                std::to_string(line_no));
+  }
+}
+
+}  // namespace
 
 void write_mapping_csv(const Mapping& mapping, std::ostream& out) {
   out << "thread,tile\n";
@@ -33,23 +63,19 @@ Mapping read_mapping_csv(std::istream& in) {
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string thread_cell, tile_cell;
-    NOCMAP_REQUIRE(static_cast<bool>(std::getline(row, thread_cell, ',')) &&
-                       static_cast<bool>(std::getline(row, tile_cell)),
+    const std::size_t comma = line.find(',');
+    NOCMAP_REQUIRE(comma != std::string::npos &&
+                       line.find(',', comma + 1) == std::string::npos,
                    "expected 2 columns on mapping CSV line " +
                        std::to_string(line_no));
-    try {
-      NOCMAP_REQUIRE(std::stoull(thread_cell) ==
-                         mapping.thread_to_tile.size(),
-                     "thread index mismatch on mapping CSV line " +
-                         std::to_string(line_no));
-      mapping.thread_to_tile.push_back(
-          static_cast<TileId>(std::stoul(tile_cell)));
-    } catch (const std::logic_error&) {
-      throw Error("non-numeric value on mapping CSV line " +
-                  std::to_string(line_no));
-    }
+    NOCMAP_REQUIRE(parse_index(line.substr(0, comma),
+                               std::numeric_limits<std::uint64_t>::max(),
+                               line_no) == mapping.thread_to_tile.size(),
+                   "thread index mismatch on mapping CSV line " +
+                       std::to_string(line_no));
+    mapping.thread_to_tile.push_back(static_cast<TileId>(
+        parse_index(line.substr(comma + 1),
+                    std::numeric_limits<TileId>::max(), line_no)));
   }
   NOCMAP_REQUIRE(!mapping.thread_to_tile.empty(), "mapping CSV has no rows");
   NOCMAP_REQUIRE(mapping.is_valid_permutation(mapping.size()),

@@ -1,6 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace nocmap {
 
@@ -29,6 +30,9 @@ Workload::Workload(std::vector<Application> apps) : apps_(std::move(apps)) {
     for (const auto& t : apps_[i].threads) {
       NOCMAP_REQUIRE(t.cache_rate >= 0.0 && t.memory_rate >= 0.0,
                      "request rates must be non-negative");
+      NOCMAP_REQUIRE(std::isfinite(t.cache_rate) &&
+                         std::isfinite(t.memory_rate),
+                     "request rates must be finite");
       flat_.push_back(t);
       owner_.push_back(i);
     }

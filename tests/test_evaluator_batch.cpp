@@ -1,19 +1,21 @@
-// Bit-identity contract of the batched candidate evaluator (DESIGN.md §:
-// "Batched candidate evaluation"): every lane scored by BatchEvaluator must
-// equal the scalar MappingEvaluator's objective on the same permutation to
-// the last bit — the mappers' search decisions are rewired through the
-// batched pass on that guarantee. Also covers the pruned variant's
-// postcondition, the candidate-major score_rows path, the const group/swap
-// prescoring entry points on MappingEvaluator, worker-count invariance of a
-// fitness fan-out through ParallelTrialRunner::for_each_batch, and the
-// fast_exp_neg kernel the annealer's acceptance test runs on.
+// Bit-identity contract of the shared eq.-5 kernel (DESIGN.md §14): every
+// entry point of BatchEvaluator — transposed, candidate-major, pruned and
+// group scoring — must equal an independent reference reduction
+// (check::reference_objective) on the same permutation to the last bit; the
+// mappers' search decisions are rewired through the batched pass on that
+// guarantee. Also covers the pruned variant's postcondition, worker-count
+// invariance of a fitness fan-out through
+// ParallelTrialRunner::for_each_batch, and the fast_exp_neg kernel the
+// annealer's acceptance test runs on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <span>
 #include <vector>
 
+#include "check/oracles.h"
 #include "core/batch_eval.h"
 #include "core/cost_cache.h"
 #include "core/evaluator.h"
@@ -44,20 +46,23 @@ std::vector<TileId> random_perm(std::size_t n, Rng& rng) {
   return perm;
 }
 
-double scalar_objective(const ObmProblem& p, const ThreadCostCache& cache,
-                        std::vector<TileId> perm) {
-  Mapping m;
-  m.thread_to_tile = std::move(perm);
-  return MappingEvaluator(p, std::move(m), cache).objective();
+/// The same problem with service weights other than 1, under which the
+/// association of (w·Σcost)/Σrate becomes observable.
+ObmProblem weighted(const ObmProblem& p) {
+  return ObmProblem(p.model(), p.workload(), {1.7, 0.6, 1.0, 2.3});
 }
 
+using check::reference_objective;
+
 TEST(BatchEvaluator, BitIdenticalToScalarAcrossSizes) {
-  for (const std::uint32_t side : {4u, 8u}) {
-    const ObmProblem p = make_problem(side, side);
+  const ObmProblem problems[] = {make_problem(4, 4), make_problem(8, 8),
+                                 weighted(make_problem(8, 9))};
+  for (std::size_t k = 0; k < std::size(problems); ++k) {
+    const ObmProblem& p = problems[k];
     const std::size_t n = p.num_threads();
     const ThreadCostCache cache(p.workload(), p.model());
     const BatchEvaluator evaluator(p, cache);
-    Rng rng(11 + side);
+    Rng rng(15 + 4 * k);
 
     constexpr std::size_t kCount = 64;
     CandidateBatch batch(n, kCount);
@@ -69,8 +74,8 @@ TEST(BatchEvaluator, BitIdenticalToScalarAcrossSizes) {
     std::vector<double> scores(kCount);
     evaluator.score(batch, kCount, scores);
     for (std::size_t b = 0; b < kCount; ++b) {
-      EXPECT_EQ(scores[b], scalar_objective(p, cache, perms[b]))
-          << "lane " << b << " side " << side;
+      EXPECT_EQ(scores[b], reference_objective(p, cache, perms[b]))
+          << "lane " << b << " problem " << k;
     }
   }
 }
@@ -95,7 +100,7 @@ TEST(BatchEvaluator, RaggedFinalBlockAndSingleLane) {
     std::vector<double> scores(count, -1.0);
     evaluator.score(batch, count, scores);
     for (std::size_t b = 0; b < count; ++b) {
-      EXPECT_EQ(scores[b], scalar_objective(p, cache, perms[b]))
+      EXPECT_EQ(scores[b], reference_objective(p, cache, perms[b]))
           << "lane " << b << " of " << count;
     }
   }
@@ -121,6 +126,10 @@ TEST(BatchEvaluator, ScoreRowsMatchesTransposedScore) {
   evaluator.score_rows(rows.data(), n, kCount, row_major);
   for (std::size_t b = 0; b < kCount; ++b) {
     EXPECT_EQ(row_major[b], transposed[b]) << "lane " << b;
+    const std::vector<TileId> perm(rows.begin() + b * n,
+                                   rows.begin() + (b + 1) * n);
+    EXPECT_EQ(row_major[b], reference_objective(p, cache, perm))
+        << "lane " << b;
   }
 }
 
@@ -154,7 +163,7 @@ TEST(BatchEvaluator, PrunedScoresKeepTheExactWinner) {
 }
 
 TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {
-  const ObmProblem p = make_problem(8, 4);
+  const ObmProblem p = weighted(make_problem(8, 4));
   const std::size_t n = p.num_threads();
   const ThreadCostCache cache(p.workload(), p.model());
   Rng rng(41);
@@ -184,32 +193,10 @@ TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {
   for (std::size_t b = 0; b < count; ++b) {
     eval.apply_group(threads, cands[b]);
     EXPECT_EQ(scores[b], eval.objective()) << "candidate " << b;
+    EXPECT_EQ(scores[b],
+              reference_objective(p, cache, eval.mapping().thread_to_tile))
+        << "candidate " << b;
     eval.apply_group(threads, held);  // revert
-  }
-}
-
-TEST(MappingEvaluatorBatch, SwapCandidatesTrackTheTrueObjective) {
-  const ObmProblem p = make_problem(8, 5);
-  const std::size_t n = p.num_threads();
-  const ThreadCostCache cache(p.workload(), p.model());
-  Rng rng(43);
-  MappingEvaluator eval(p, Mapping{random_perm(n, rng)}, cache);
-
-  std::vector<SwapProposal> proposals(48);
-  for (SwapProposal& prop : proposals) {
-    prop.j1 = rng.uniform_u32(static_cast<std::uint32_t>(n));
-    prop.j2 = rng.uniform_u32(static_cast<std::uint32_t>(n));
-  }
-  std::vector<double> scores(proposals.size());
-  eval.score_swap_candidates(proposals, scores);
-  for (std::size_t i = 0; i < proposals.size(); ++i) {
-    eval.swap_threads(proposals[i].j1, proposals[i].j2);
-    const double truth = eval.objective();
-    eval.swap_threads(proposals[i].j1, proposals[i].j2);  // revert
-    // Delta substitution may differ from the canonical recompute in the
-    // last ulps (documented contract), never more.
-    EXPECT_NEAR(scores[i], truth, 1e-9 * std::max(1.0, truth))
-        << "proposal " << i;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 namespace nocmap {
 namespace {
@@ -60,6 +61,31 @@ TEST(MappingIo, OutOfRangeTileRejected) {
 TEST(MappingIo, NonNumericRejected) {
   std::stringstream ss("thread,tile\n0,a\n");
   EXPECT_THROW(read_mapping_csv(ss), Error);
+}
+
+// Each bad row would read as thread 0 on tile 1 under a lenient parser,
+// which the valid row "1,0" completes into a valid permutation.
+void expect_row_rejected(const std::string& row) {
+  std::stringstream ss("thread,tile\n" + row + "\n1,0\n");
+  EXPECT_THROW(read_mapping_csv(ss), Error) << row;
+}
+
+TEST(MappingIo, TileBeyond32BitsRejected) {
+  expect_row_rejected("0,4294967297");  // 2^32 + 1
+  expect_row_rejected("0,18446744073709551617");  // past 64 bits
+}
+
+TEST(MappingIo, TrailingJunkRejected) {
+  expect_row_rejected("0,1abc");
+  expect_row_rejected("0x,1");
+}
+
+TEST(MappingIo, ExtraColumnRejected) { expect_row_rejected("0,1,7"); }
+
+TEST(MappingIo, SignsAndBlanksRejected) {
+  for (const char* row : {"0,+1", "0, 1", "+0,1", " 0,1", "0,", ",1"}) {
+    expect_row_rejected(row);
+  }
 }
 
 TEST(MappingIo, WindowsLineEndings) {

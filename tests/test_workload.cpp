@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nocmap {
 namespace {
 
@@ -56,6 +58,16 @@ TEST(Workload, ValidationRejectsBadInput) {
   Application negative;
   negative.threads = {{-1.0, 0.0}};
   EXPECT_THROW(Workload({negative}), Error);
+}
+
+TEST(Workload, ValidationRejectsInfiniteRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Application cache_inf;
+  cache_inf.threads = {{inf, 0.1}};
+  EXPECT_THROW(Workload({cache_inf}), Error);
+  Application memory_inf;
+  memory_inf.threads = {{0.1, inf}};
+  EXPECT_THROW(Workload({memory_inf}), Error);
 }
 
 TEST(Workload, PaddingAddsIdleApplication) {

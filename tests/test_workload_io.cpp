@@ -108,6 +108,22 @@ TEST(WorkloadIo, NegativeRateRejected) {
   EXPECT_THROW(read_workload_csv(ss), Error);
 }
 
+TEST(WorkloadIo, InfiniteRateRejected) {
+  // An infinite rate would make eq. 5 divide inf by inf.
+  for (const char* rate : {"inf", "infinity", "-inf"}) {
+    std::stringstream cache_inf(
+        std::string("application,thread,cache_rate,memory_rate\n"
+                    "web,0,") +
+        rate + ",0.1\n");
+    EXPECT_THROW(read_workload_csv(cache_inf), Error) << rate;
+    std::stringstream memory_inf(
+        std::string("application,thread,cache_rate,memory_rate\n"
+                    "web,0,0.1,") +
+        rate + "\n");
+    EXPECT_THROW(read_workload_csv(memory_inf), Error) << rate;
+  }
+}
+
 TEST(WorkloadIo, ThreadIndexGapRejected) {
   std::stringstream ss(
       "application,thread,cache_rate,memory_rate\n"
