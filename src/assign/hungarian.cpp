@@ -61,6 +61,17 @@ struct GatherCol {
 // insertion, so *any* initial potentials — all-zero (cold) or carried over
 // from a previous solve (warm) — yield an exact optimum; warmth only
 // shortens the augmenting paths.
+//
+// Each path step touches the free columns once. The textbook loop makes two
+// passes over all nc+1 columns (a scan that skips used ones, then a
+// potential/minv update); here the free columns live in an ascending list
+// and one fused pass per step applies the previous step's minv -= delta,
+// relaxes against the new row, picks the first strict minimum and drops the
+// column that just became used. The used columns' potentials are shifted
+// through their own list (each maps to a distinct row, so order is free).
+// Per column the arithmetic and the lowest-index tie-break are the
+// textbook's, so every step — and the result — is identical to it
+// (check::reference_assignment pins this on tie-heavy inputs).
 template <typename ColMap>
 std::uint64_t AssignmentWorkspace::run_kernel(const double* data,
                                               std::size_t stride, ColMap col,
@@ -70,38 +81,45 @@ std::uint64_t AssignmentWorkspace::run_kernel(const double* data,
   for (std::size_t i = 1; i <= nr; ++i) {
     p_[0] = i;
     std::size_t j0 = 0;
-    std::fill(minv_.begin(), minv_.begin() + static_cast<std::ptrdiff_t>(nc) + 1,
-              kInf);
-    std::fill(used_.begin(), used_.begin() + static_cast<std::ptrdiff_t>(nc) + 1,
-              char{0});
+    std::size_t num_free = nc;
+    std::size_t num_used = 0;
+    for (std::size_t j = 1; j <= nc; ++j) {
+      free_[j - 1] = j;
+      minv_[j] = kInf;
+    }
+    double prev_delta = 0.0;  // inf - 0 and x - 0 are exact no-ops
     do {
       ++path_steps;
-      used_[j0] = 1;
+      used_[num_used++] = j0;
       const std::size_t i0 = p_[j0];
       const double* row = data + (i0 - 1) * stride;
       const double u0 = u_[i0];
       double delta = kInf;
       std::size_t j1 = 0;
-      for (std::size_t j = 1; j <= nc; ++j) {
-        if (used_[j]) continue;
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < num_free; ++k) {
+        const std::size_t j = free_[k];
+        if (j == j0) continue;
+        free_[kept++] = j;
+        double m = minv_[j] - prev_delta;
         const double cur = row[col(j - 1)] - u0 - v_[j];
-        if (cur < minv_[j]) {
-          minv_[j] = cur;
+        if (cur < m) {
+          m = cur;
           way_[j] = j0;
         }
-        if (minv_[j] < delta) {
-          delta = minv_[j];
+        minv_[j] = m;
+        if (m < delta) {
+          delta = m;
           j1 = j;
         }
       }
-      for (std::size_t j = 0; j <= nc; ++j) {
-        if (used_[j]) {
-          u_[p_[j]] += delta;
-          v_[j] -= delta;
-        } else {
-          minv_[j] -= delta;
-        }
+      num_free = kept;
+      for (std::size_t k = 0; k < num_used; ++k) {
+        const std::size_t j = used_[k];
+        u_[p_[j]] += delta;
+        v_[j] -= delta;
       }
+      prev_delta = delta;
       j0 = j1;
     } while (p_[j0] != 0);
     // Augment along the alternating path.
@@ -137,6 +155,7 @@ void AssignmentWorkspace::solve_impl(const CostView& view, bool warm) {
     minv_.resize(nc + 1);
     p_.resize(nc + 1);
     way_.resize(nc + 1);
+    free_.resize(nc + 1);
     used_.resize(nc + 1);
   }
 

@@ -12,15 +12,24 @@
 //  * `solve_assignment(CostMatrix)` — the classic one-shot API, kept for
 //    convenience and tests.
 //  * `AssignmentWorkspace::solve{,_warm}(CostView)` — the hot-path kernel.
-//    The workspace owns every scratch array (potentials, minv, used, path,
-//    result), so after the first solve of a given size there is zero heap
-//    traffic per call; `CostView` reads costs straight out of any row-major
-//    table (e.g. the memoized ThreadCostCache) through an optional column
-//    gather, so no per-call matrix is ever materialized. `solve_warm`
-//    additionally carries the column potentials from the previous solve:
-//    on the repeated near-identical instances produced by the SSS passes
-//    and the bound evaluations, augmenting paths then terminate almost
-//    immediately and the solve drops from O(n³) toward O(n²).
+//    The workspace owns every scratch array (potentials, minv, the free-
+//    and used-column lists, path, result), so after the first solve of a
+//    given size there is zero heap traffic per call; `CostView` reads costs
+//    straight out of any row-major table (e.g. the memoized
+//    ThreadCostCache) through an optional column gather, so no per-call
+//    matrix is ever materialized. `solve_warm` additionally carries the
+//    column potentials from the previous solve: on the repeated
+//    near-identical instances produced by the SSS passes and the bound
+//    evaluations, augmenting paths then terminate almost immediately and
+//    the solve drops from O(n³) toward O(n²).
+//
+// Each augmenting-path step makes one pass over the columns still off the
+// path (kept in an ascending list), fusing the textbook's two passes over
+// all columns: the previous step's minv shift, the relaxation against the
+// new row and the first-strict-minimum choice. The per-column arithmetic
+// and the lowest-index tie-break are the textbook's, so the search and the
+// optimum it returns among ties are exactly those of the two-pass loop,
+// which check::reference_assignment keeps as the tests' oracle.
 #pragma once
 
 #include <cstddef>
@@ -159,7 +168,8 @@ class AssignmentWorkspace {
   std::vector<double> minv_;  // per-column path minima
   std::vector<std::size_t> p_;    // p_[col] = row matched to col
   std::vector<std::size_t> way_;  // alternating-path predecessor
-  std::vector<char> used_;
+  std::vector<std::size_t> free_;  // columns off the current path, ascending
+  std::vector<std::size_t> used_;  // columns on it, in insertion order
   Assignment result_;
   std::size_t warm_cols_ = 0;  // column count the stored v_ is valid for
   bool cross_check_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -41,6 +42,67 @@ double reference_objective(const ObmProblem& problem,
     if (rate > 0.0) worst = std::max(worst, problem.app_weight(i) * cost / rate);
   }
   return worst;
+}
+
+Assignment reference_assignment(const CostView& view, std::vector<double>& v,
+                                bool warm) {
+  const std::size_t nr = view.rows();
+  const std::size_t nc = view.cols();
+  NOCMAP_REQUIRE(nr <= nc, "assignment needs at least as many columns as rows");
+  if (!(warm && nr == nc && v.size() == nc + 1)) v.assign(nc + 1, 0.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> u(nr + 1, 0.0);
+  std::vector<double> minv(nc + 1);
+  std::vector<std::size_t> p(nc + 1, 0);
+  std::vector<std::size_t> way(nc + 1, 0);
+  std::vector<char> used(nc + 1);
+  for (std::size_t i = 1; i <= nr; ++i) {
+    p[0] = i;
+    std::size_t j0 = 0;
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), char{0});
+    do {
+      used[j0] = 1;
+      const std::size_t i0 = p[j0];
+      const double u0 = u[i0];
+      double delta = kInf;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= nc; ++j) {
+        if (used[j]) continue;
+        const double cur = view.at(i0 - 1, j - 1) - u0 - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
+      for (std::size_t j = 0; j <= nc; ++j) {
+        if (used[j]) {
+          u[p[j]] += delta;
+          v[j] -= delta;
+        } else {
+          minv[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (p[j0] != 0);
+    do {
+      const std::size_t j1 = way[j0];
+      p[j0] = p[j1];
+      j0 = j1;
+    } while (j0 != 0);
+  }
+  Assignment result;
+  result.row_to_col.assign(nr, 0);
+  for (std::size_t j = 1; j <= nc; ++j) {
+    if (p[j] == 0) continue;
+    result.row_to_col[p[j] - 1] = j - 1;
+    result.total_cost += u[p[j]] + v[j];
+  }
+  return result;
 }
 
 namespace {
@@ -202,6 +264,34 @@ OracleResult run_exact_bound(const ScenarioSpec& spec) {
 // ---------------------------------------------------------------------------
 // hungarian
 
+/// Solves `view` through the workspace and through reference_assignment
+/// (with its own carried potentials `v`); empty when both pick the same
+/// assignment at the same total cost.
+std::string compare_with_reference(AssignmentWorkspace& ws,
+                                   std::vector<double>& v,
+                                   const CostView& view, bool warm,
+                                   const char* label) {
+  const Assignment want = reference_assignment(view, v, warm);
+  const Assignment& got = warm ? ws.solve_warm(view) : ws.solve(view);
+  if (got.row_to_col == want.row_to_col &&
+      !(got.total_cost != want.total_cost)) {
+    return {};
+  }
+  std::ostringstream os;
+  os << std::setprecision(17) << label << " solve (" << view.rows() << "x"
+     << view.cols() << (warm ? ", warm" : ", cold")
+     << ") differs from reference_assignment: cost " << got.total_cost
+     << " vs " << want.total_cost;
+  for (std::size_t r = 0; r < want.row_to_col.size(); ++r) {
+    if (got.row_to_col[r] != want.row_to_col[r]) {
+      os << ", row " << r << " -> " << got.row_to_col[r] << " vs "
+         << want.row_to_col[r];
+      break;
+    }
+  }
+  return os.str();
+}
+
 OracleResult run_hungarian(const ScenarioSpec& spec) {
   Rng rng(spec.seed, 0x68756e67ULL);
   AssignmentWorkspace workspace;
@@ -248,6 +338,57 @@ OracleResult run_hungarian(const ScenarioSpec& spec) {
       }
     }
   }
+
+  // Tie-breaking: the workspace must make exactly the reference kernel's
+  // choices. The scenario's cost cache is tie-heavy — symmetric tiles give
+  // duplicate columns, zero-rate pad threads all-zero rows — and small
+  // integer matrices tie almost everywhere.
+  AssignmentWorkspace ws;
+  std::vector<double> v;
+  const auto compare = [&](const CostView& view, bool warm,
+                           const char* label) {
+    return compare_with_reference(ws, v, view, warm, label);
+  };
+  const ObmProblem problem = build_problem(spec);
+  const ThreadCostCache cache(problem.workload(), problem.model());
+  const Workload& wl = problem.workload();
+  const std::size_t tiles = problem.num_tiles();
+  std::string why = compare(CostView(cache.row(0), problem.num_threads(),
+                                     tiles, cache.row_stride()),
+                            false, "global");
+  for (std::size_t a = 0; why.empty() && a < wl.num_applications(); ++a) {
+    const std::size_t lo = wl.first_thread(a);
+    const std::size_t dn = wl.last_thread(a) - lo;
+    // The relaxed bound's rectangular solve: the application over every
+    // tile (cold by construction).
+    why = compare(CostView(cache.row(lo), dn, tiles, cache.row_stride()),
+                  true, "rectangular");
+    // SAM on a random tile set, then warm re-solves on a reordering of it
+    // and on the set with one tile exchanged.
+    std::vector<std::size_t> order = random_permutation(tiles, rng);
+    std::vector<TileId> set(order.begin(),
+                            order.begin() + static_cast<std::ptrdiff_t>(dn));
+    if (why.empty()) why = compare(cache.sam_view(lo, set), false, "sam");
+    rng.shuffle(set);
+    if (why.empty()) why = compare(cache.sam_view(lo, set), true, "sam warm");
+    if (why.empty() && dn < tiles) {
+      set[rng.uniform_u32(static_cast<std::uint32_t>(dn))] =
+          static_cast<TileId>(order[dn]);
+      why = compare(cache.sam_view(lo, set), true, "sam warm swap");
+    }
+  }
+  for (int round = 0; why.empty() && round < 4; ++round) {
+    const std::size_t rows = 2 + rng.uniform_u32(7);
+    const std::size_t cols = rows + (round % 2 == 0 ? 0 : rng.uniform_u32(4));
+    CostMatrix cost(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        cost.at(r, c) = static_cast<double>(rng.uniform_u32(3));
+      }
+    }
+    why = compare(CostView::of(cost), round >= 2, "integer");
+  }
+  if (!why.empty()) return fail(why);
   return {};
 }
 
@@ -464,31 +605,91 @@ OracleResult run_batch_eval(const ScenarioSpec& spec) {
   for (std::size_t x = 0; x < w; ++x) {
     held[x] = eval.mapping().tile_of(threads[x]);
   }
-  // All cyclic rotations of the held tiles, transposed position-major.
-  const std::size_t count = w;
+  // Every permutation of the held tiles (up to 24, as in an SSS window),
+  // transposed position-major.
+  std::vector<std::vector<TileId>> perms;
+  std::vector<TileId> perm = held;
+  std::sort(perm.begin(), perm.end());
+  do {
+    perms.push_back(perm);
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  const std::size_t count = perms.size();
   std::vector<TileId> cands(w * count);
   for (std::size_t b = 0; b < count; ++b) {
-    for (std::size_t x = 0; x < w; ++x) {
-      cands[x * count + b] = held[(x + b) % w];
-    }
+    for (std::size_t x = 0; x < w; ++x) cands[x * count + b] = perms[b][x];
   }
+  constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
   std::vector<double> group_scores(count);
-  eval.score_group_candidates(threads, cands.data(), count, group_scores);
-  std::vector<TileId> applied(w);
+  eval.score_group_candidates(threads, cands.data(), count, kNoCutoff,
+                              group_scores);
+  std::vector<double> group_truth(count);
   for (std::size_t b = 0; b < count; ++b) {
-    for (std::size_t x = 0; x < w; ++x) applied[x] = cands[x * count + b];
-    eval.apply_group(threads, applied);
-    const double truth =
+    eval.apply_group(threads, perms[b]);
+    group_truth[b] =
         reference_objective(problem, cache, eval.mapping().thread_to_tile);
     const double applied_obj = eval.objective();
     eval.apply_group(threads, held);  // exact revert
-    if (group_scores[b] != truth || applied_obj != truth) {
+    if (group_scores[b] != group_truth[b] || applied_obj != group_truth[b]) {
       std::ostringstream os;
       os << std::setprecision(17) << "group candidate " << b
          << ": score_group_candidates "
          << group_scores[b] << ", apply_group objective " << applied_obj
-         << ", reference " << truth;
+         << ", reference " << group_truth[b];
       return fail(os.str());
+    }
+  }
+
+  // The cutoff contract, at the live objective (the SSS cutoff), at a
+  // candidate's own score and at random levels across the candidates'
+  // range: below the cutoff a score is exact, at or above it the true
+  // score is too.
+  const auto [lo_it, hi_it] =
+      std::minmax_element(group_truth.begin(), group_truth.end());
+  std::vector<double> cutoffs = {
+      eval.objective(),
+      group_truth[rng.uniform_u32(static_cast<std::uint32_t>(count))]};
+  for (int i = 0; i < 4; ++i) cutoffs.push_back(rng.uniform(*lo_it, *hi_it));
+  for (const double cutoff : cutoffs) {
+    eval.score_group_candidates(threads, cands.data(), count, cutoff,
+                                group_scores);
+    for (std::size_t b = 0; b < count; ++b) {
+      const double got = group_scores[b];
+      if (got < cutoff ? got != group_truth[b] : group_truth[b] < cutoff) {
+        std::ostringstream os;
+        os << std::setprecision(17) << "group candidate " << b
+           << " at cutoff " << cutoff << ": score " << got
+           << ", reference " << group_truth[b];
+        return fail(os.str());
+      }
+    }
+  }
+
+  // Prefix purity: after more mutations, every stored prefix equals the
+  // canonical running sum recomputed from scratch.
+  for (int i = 0; i < 16; ++i) {
+    if (i % 2 == 0) {
+      eval.swap_threads(rng.uniform_u32(un), rng.uniform_u32(un));
+    } else {
+      std::vector<TileId> tiles(w);
+      for (std::size_t x = 0; x < w; ++x) {
+        tiles[x] = eval.mapping().tile_of(threads[x]);
+      }
+      rng.shuffle(tiles);
+      eval.apply_group(threads, tiles);
+    }
+  }
+  const Workload& wl = problem.workload();
+  const std::span<const double> prefixes = eval.prefixes();
+  for (std::size_t a = 0; a < wl.num_applications(); ++a) {
+    double sum = 0.0;
+    for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
+      if (prefixes[j] != sum) {
+        std::ostringstream os;
+        os << std::setprecision(17) << "thread " << j << " prefix "
+           << prefixes[j] << " != recomputed " << sum;
+        return fail(os.str());
+      }
+      sum += cache.row(j)[eval.mapping().tile_of(j)];
     }
   }
   return {};
@@ -674,7 +875,7 @@ constexpr Oracle kOracles[] = {
      "heuristic objectives upper-bound the branch-and-bound optimum",
      exact_applicable, run_exact_bound},
     {"hungarian",
-     "warm/cold/one-shot assignment solves match O(n!) brute force",
+     "assignment solves match brute force and the reference tie-breaks",
      always, run_hungarian},
     {"netsim_conservation",
      "flit conservation and load-summary identities on the cycle-level sim",

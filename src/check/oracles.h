@@ -21,7 +21,10 @@
 //                          optimum.
 //   hungarian            — warm-started and cold workspace solves and the
 //                          one-shot API must all match the O(n!) brute
-//                          force on random ≤8×8 cost matrices.
+//                          force on random ≤8×8 cost matrices, and the
+//                          workspace must pick exactly the assignment
+//                          reference_assignment() picks on tie-heavy
+//                          cost-cache, rectangular and warm instances.
 //   netsim_conservation  — cycle-level invariants: complete drain, flit
 //                          conservation, crossbar/link/buffer identities,
 //                          and RouterLoadSummary consistency with the raw
@@ -38,13 +41,17 @@
 //                          SSS solve, and 1-vs-2-worker decision equality.
 //   batch_eval           — every entry point of the shared eq.-5 kernel
 //                          (score, score_rows, score_pruned, group
-//                          scoring) bit-equal to reference_objective().
+//                          scoring) bit-equal to reference_objective(),
+//                          below the cutoff where one is taken; the
+//                          evaluator's stored prefixes equal a recompute.
 #pragma once
 
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "assign/hungarian.h"
 #include "check/scenario.h"
 #include "core/cost_cache.h"
 #include "core/problem.h"
@@ -59,6 +66,20 @@ namespace nocmap::check {
 double reference_objective(const ObmProblem& problem,
                            const ThreadCostCache& cache,
                            std::span<const TileId> perm);
+
+/// Reference assignment kernel for the `hungarian` oracle and the kernel
+/// tests: the two-pass shortest-augmenting-path loop AssignmentWorkspace
+/// ran before its one-pass free-column scan — each path step scans every
+/// column (skipping used ones), then updates potentials and minima over
+/// every column. The workspace makes the same floating-point operations and
+/// the same strict-< lowest-index choices, so fed the same solves it must
+/// return this kernel's row_to_col and total_cost exactly; ties are where
+/// the two could part. `v` carries the column potentials between calls
+/// under the workspace's rule: a warm call on a square instance with the
+/// previous call's column count starts from them, any other from zero.
+/// Never called from the library itself.
+Assignment reference_assignment(const CostView& view, std::vector<double>& v,
+                                bool warm);
 
 struct OracleResult {
   bool ok = true;

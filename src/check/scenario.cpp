@@ -1,6 +1,8 @@
 #include "check/scenario.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -10,6 +12,7 @@
 
 #include "latency/model.h"
 #include "util/error.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "workload/synthesis.h"
 
@@ -21,6 +24,31 @@ constexpr std::uint32_t kMinSide = 3;
 constexpr std::uint32_t kMaxSide = 8;
 constexpr std::uint32_t kMaxLayers = 8;
 constexpr std::uint32_t kMaxApps = 4;
+
+std::uint32_t parse_u32(const std::string& value, const std::string& key) {
+  return static_cast<std::uint32_t>(
+      parse_unsigned(value, std::numeric_limits<std::uint32_t>::max(),
+                     "repro key '" + key + "'"));
+}
+
+bool parse_flag(const std::string& value, const std::string& key) {
+  NOCMAP_REQUIRE(value == "0" || value == "1",
+                 "repro key '" + key + "' is not 0 or 1");
+  return value == "1";
+}
+
+/// A finite double, the whole value consumed (std::stod alone would skip
+/// leading blanks, stop at trailing junk and accept inf/nan).
+double parse_double(const std::string& value, const std::string& key) {
+  NOCMAP_REQUIRE(!value.empty() &&
+                     !std::isspace(static_cast<unsigned char>(value[0])),
+                 "non-numeric value for repro key '" + key + "'");
+  std::size_t used = 0;
+  const double v = std::stod(value, &used);  // throws on no digits
+  NOCMAP_REQUIRE(used == value.size() && std::isfinite(v),
+                 "malformed value for repro key '" + key + "'");
+  return v;
+}
 
 }  // namespace
 
@@ -193,20 +221,22 @@ ScenarioSpec from_repro(const std::string& text, std::string* oracle_out) {
     seen[key] = true;
     try {
       if (key == "seed") {
-        spec.seed = std::stoull(value);
+        spec.seed = parse_unsigned(value,
+                                   std::numeric_limits<std::uint64_t>::max(),
+                                   "repro key 'seed'");
       } else if (key == "mesh_side") {
-        spec.mesh_side = static_cast<std::uint32_t>(std::stoul(value));
+        spec.mesh_side = parse_u32(value, key);
       } else if (key == "mesh_layers") {
-        spec.mesh_layers = static_cast<std::uint32_t>(std::stoul(value));
+        spec.mesh_layers = parse_u32(value, key);
       } else if (key == "tsv_hop_cost") {
-        spec.tsv_hop_cost = std::stod(value);
+        spec.tsv_hop_cost = parse_double(value, key);
       } else if (key == "mc_placement") {
         NOCMAP_REQUIRE(mc_placement_from_name(value, spec.mc_placement),
                        "unknown mc_placement '" + value + "'");
       } else if (key == "mc_count") {
-        spec.mc_count = static_cast<std::uint32_t>(std::stoul(value));
+        spec.mc_count = parse_u32(value, key);
       } else if (key == "torus") {
-        spec.torus = std::stoi(value) != 0;
+        spec.torus = parse_flag(value, key);
       } else if (key == "traffic_mode") {
         NOCMAP_REQUIRE(
             memory_traffic_mode_from_name(value, spec.traffic_mode),
@@ -214,13 +244,13 @@ ScenarioSpec from_repro(const std::string& text, std::string* oracle_out) {
       } else if (key == "config") {
         spec.config = value;
       } else if (key == "num_applications") {
-        spec.num_applications = static_cast<std::uint32_t>(std::stoul(value));
+        spec.num_applications = parse_u32(value, key);
       } else if (key == "threads_per_app") {
-        spec.threads_per_app = static_cast<std::uint32_t>(std::stoul(value));
+        spec.threads_per_app = parse_u32(value, key);
       } else if (key == "injection_scale") {
-        spec.injection_scale = std::stod(value);
+        spec.injection_scale = parse_double(value, key);
       } else if (key == "bursty") {
-        spec.bursty = std::stoi(value) != 0;
+        spec.bursty = parse_flag(value, key);
       } else if (key == "oracle") {
         oracle = value;
       } else {

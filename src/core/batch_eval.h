@@ -35,11 +35,16 @@
 // returns either its bit-identical full score (when that score < cutoff) or
 // a partial max that is provably >= cutoff.
 //
-// score_group() is the SSS window scorer: candidates re-assign a few
-// threads on top of a live mapping, so only the applications owning those
-// threads are re-summed (window threads read the candidate's tile, all
-// others the live tile) and the untouched applications are folded once
-// from their stored numerators.
+// score_group() is the SSS window scorer, under the same cutoff contract:
+// candidates re-assign a few threads on top of a live mapping, so only the
+// applications owning those threads are re-summed (window threads read the
+// candidate's tile, all others the live tile) and the untouched
+// applications are folded once from their stored numerators
+// (group_floor()). When that floor already reaches the cutoff no candidate
+// can win and nothing is summed; otherwise the touched applications are
+// folded worst-first with the pruned break, and each starts from the live
+// mapping's canonical prefix at its first group thread — the same leading
+// adds a sum from 0.0 would make, so the scores stay bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +110,8 @@ class BatchEvaluator {
   /// (a block skips an application only once every live lane is over the
   /// cutoff), and 8 doubles still fill a vector register file.
   static constexpr std::size_t kPruneLanes = 8;
+  /// Largest thread group score_group() accepts.
+  static constexpr std::size_t kMaxGroup = 16;
 
   /// One application's row of the eq.-5 table.
   struct AppSlice {
@@ -137,25 +144,30 @@ class BatchEvaluator {
   /// Σ cost(j, perm[j]) over the application's threads, thread-ascending:
   /// the canonical eq.-5 numerator.
   double numerator(std::size_t app, std::span<const TileId> perm) const;
+  /// numerator(), also writing each of the application's threads' canonical
+  /// prefix: prefix[j] is the running sum before thread j's cost is added
+  /// (0.0 at the first thread). score_group() starts from these.
+  double numerator(std::size_t app, std::span<const TileId> perm,
+                   std::span<double> prefix) const;
   /// APL of one application from its numerator; 0 without traffic.
   double apl(std::size_t app, double numerator) const;
   /// Max APL over applications with traffic (unweighted).
   double max_apl(std::span<const double> numerators) const;
-  /// The OBM objective max_i w_i·APL_i over applications with traffic,
-  /// skipping the applications listed in `skip` (ascending). Inline: the
-  /// GA folds every offspring's tracked numerators through it.
-  double objective(std::span<const double> numerators,
-                   std::span<const std::uint32_t> skip = {}) const {
+  /// The OBM objective max_i w_i·APL_i over applications with traffic.
+  /// Inline: the GA folds every offspring's tracked numerators through it.
+  double objective(std::span<const double> numerators) const {
     double worst = 0.0;
-    auto next_skip = skip.begin();
-    for (const std::uint32_t i : live_) {
-      while (next_skip != skip.end() && *next_skip < i) ++next_skip;
-      if (next_skip != skip.end() && *next_skip == i) continue;
-      const double apl = apps_[i].weighted_apl(numerators[i]);
+    for (const Fold& f : live_) {
+      const double apl = apps_[f.app].weighted_apl(numerators[f.app]);
       if (apl > worst) worst = apl;
     }
     return worst;
   }
+  /// The objective over the applications with traffic that own none of
+  /// `threads`: a floor under the score of every re-assignment of that
+  /// group (score_group()).
+  double group_floor(std::span<const double> numerators,
+                     std::span<const std::size_t> threads) const;
 
   /// Scores lanes [0, count) of the batch: out[b] is the OBM objective of
   /// lane b's permutation.
@@ -176,18 +188,24 @@ class BatchEvaluator {
   void score_rows(const TileId* rows, std::size_t stride, std::size_t count,
                   std::span<double> out) const;
 
-  /// Scores `count` candidate re-assignments of one thread group on top of
-  /// the mapping `live`, whose per-application numerators are `numerators`
+  /// Scores `count` candidate re-assignments of one thread group (at most
+  /// kMaxGroup threads) on top of the mapping `live`, whose per-application
+  /// numerators and per-thread prefixes are `numerators` and `prefix`
   /// (canonical, see numerator()). All candidates share the thread set:
   /// candidate b re-assigns threads[x] to tiles[x·count + b] (transposed,
-  /// one contiguous row of candidate tiles per group position). out[b] is
-  /// the objective of `live` with candidate b applied: each application
-  /// owning a group thread is re-summed in canonical order with the
-  /// candidate's tiles substituted, never by delta arithmetic.
+  /// one contiguous row of candidate tiles per group position). Each
+  /// application owning a group thread is re-summed in canonical order with
+  /// the candidate's tiles substituted, never by delta arithmetic. Same
+  /// post-condition as score_pruned: out[b] < cutoff implies out[b] is the
+  /// exact objective of `live` with candidate b applied; out[b] >= cutoff
+  /// implies that objective is also >= cutoff. An infinite cutoff scores
+  /// every candidate exactly.
   void score_group(std::span<const TileId> live,
                    std::span<const double> numerators,
+                   std::span<const double> prefix,
                    std::span<const std::size_t> threads, const TileId* tiles,
-                   std::size_t count, std::span<double> out) const;
+                   std::size_t count, double cutoff,
+                   std::span<double> out) const;
 
  private:
   /// One thread's tiles across the lanes of a block: lane b reads
@@ -197,21 +215,29 @@ class BatchEvaluator {
     std::size_t stride;
   };
 
-  /// The lane kernel: folds the applications `apps` (ascending, all with
-  /// traffic) into out[b] = max(base, max_i w_i·APL_i of lane b), reading
-  /// lane b's tile for thread j through tiles_of(j). `Shared` enables the
-  /// stride-0 broadcast path; without it the per-thread body stays
-  /// branch-free, which lets the compiler jam consecutive threads into one
-  /// lane pass.
+  /// One application for the lane kernel: its threads from `from` to the
+  /// end of its range are added onto `sum`, the canonical prefix of the
+  /// threads before `from` (0.0 when `from` is its first thread).
+  struct Fold {
+    std::uint32_t app;
+    std::uint32_t from;
+    double sum;
+  };
+
+  /// The lane kernel: folds `folds` (applications with traffic) into
+  /// out[b] = max(base, max_i w_i·APL_i of lane b), reading lane b's tile
+  /// for thread j through tiles_of(j). `Shared` enables the stride-0
+  /// broadcast path; without it the per-thread body stays branch-free,
+  /// which lets the compiler jam consecutive threads into one lane pass.
   template <bool Pruned, bool Shared, typename TilesOf>
-  void score_block(std::span<const std::uint32_t> apps, double base,
+  void score_block(std::span<const Fold> folds, double base,
                    std::size_t lanes, double cutoff, double* out,
                    const TilesOf& tiles_of) const;
 
   const ThreadCostCache* cache_;
-  std::vector<AppSlice> apps_;           // every application
-  std::vector<std::uint32_t> live_;      // applications with volume > 0
-  std::vector<std::uint32_t> app_of_;    // thread -> application
+  std::vector<AppSlice> apps_;         // every application
+  std::vector<Fold> live_;             // applications with volume > 0, whole
+  std::vector<std::uint32_t> app_of_;  // thread -> application
 };
 
 }  // namespace nocmap

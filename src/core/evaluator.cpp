@@ -16,6 +16,7 @@ MappingEvaluator::MappingEvaluator(const ObmProblem& problem, Mapping initial,
     tile_to_thread_[mapping_.tile_of(j)] = j;
   }
   numerator_.assign(table_.apps().size(), 0.0);
+  prefix_.assign(problem.num_threads(), 0.0);
   for (std::size_t i = 0; i < numerator_.size(); ++i) {
     recompute_app(i);
     total_volume_ += table_.apps()[i].volume;
@@ -46,7 +47,7 @@ void MappingEvaluator::place_thread(std::size_t j, TileId tile) {
 }
 
 void MappingEvaluator::recompute_app(std::size_t app) {
-  numerator_[app] = table_.numerator(app, mapping_.thread_to_tile);
+  numerator_[app] = table_.numerator(app, mapping_.thread_to_tile, prefix_);
 }
 
 void MappingEvaluator::swap_threads(std::size_t j1, std::size_t j2) {

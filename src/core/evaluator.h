@@ -22,8 +22,10 @@
 // update would leave (n + d) - d != n rounding residue that accumulates
 // with evaluation history), and the numerators equal what the batch kernel
 // sums for the same mapping, so score_group_candidates predicts the
-// objective() an apply_group would produce to the last bit. See DESIGN.md,
-// "Parallelism & determinism".
+// objective() an apply_group would produce to the last bit. The same loop
+// stores each thread's canonical prefix (its application's running sum
+// before it), from which the window scorer resumes instead of re-adding the
+// threads ahead of the window. See DESIGN.md, "Parallelism & determinism".
 #pragma once
 
 #include <cstddef>
@@ -75,16 +77,26 @@ class MappingEvaluator {
   /// Scores `count` candidate re-assignments of one thread group without
   /// mutating the evaluator (BatchEvaluator::score_group on the live
   /// state): candidate b re-assigns threads[x] to tiles[x·count + b].
-  /// out[b] is bit-identical to the objective() this evaluator would report
-  /// after apply_group(threads, candidate b). Being const, any number of
+  /// out[b] < cutoff is bit-identical to the objective() this evaluator
+  /// would report after apply_group(threads, candidate b); out[b] >= cutoff
+  /// means that objective is >= cutoff too. Being const, any number of
   /// workers may score windows through one shared evaluator concurrently;
   /// the SSS sweep does.
   void score_group_candidates(std::span<const std::size_t> threads,
                               const TileId* tiles, std::size_t count,
-                              std::span<double> out) const {
-    table_.score_group(mapping_.thread_to_tile, numerator_, threads, tiles,
-                       count, out);
+                              double cutoff, std::span<double> out) const {
+    table_.score_group(mapping_.thread_to_tile, numerator_, prefix_, threads,
+                       tiles, count, cutoff, out);
   }
+  /// Objective of the applications owning none of `threads` — a floor
+  /// under every score_group_candidates() score for that group.
+  double group_floor(std::span<const std::size_t> threads) const {
+    return table_.group_floor(numerator_, threads);
+  }
+
+  /// Per thread, its application's canonical running sum before it
+  /// (BatchEvaluator::numerator); kept in step with the numerators.
+  std::span<const double> prefixes() const { return prefix_; }
 
   /// Recomputes everything from scratch; used by tests to check that the
   /// incremental state never drifts.
@@ -102,6 +114,7 @@ class MappingEvaluator {
   Mapping mapping_;
   std::vector<std::size_t> tile_to_thread_;
   std::vector<double> numerator_;  // per app: Σ c_j TC(π(j)) + m_j TM(π(j))
+  std::vector<double> prefix_;     // per thread: its app's sum before it
   std::vector<std::size_t> group_apps_;  // apply_group scratch
   double total_volume_ = 0.0;
 };

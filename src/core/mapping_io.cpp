@@ -1,39 +1,13 @@
 #include "core/mapping_io.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <limits>
 #include <string>
 
+#include "util/parse.h"
+
 namespace nocmap {
-
-namespace {
-
-/// One unsigned decimal cell: digits only (no sign, no blanks), the whole
-/// cell consumed, and the value at most `max`.
-std::uint64_t parse_index(const std::string& cell, std::uint64_t max,
-                          std::size_t line_no) {
-  NOCMAP_REQUIRE(!cell.empty() &&
-                     std::all_of(cell.begin(), cell.end(),
-                                 [](unsigned char c) {
-                                   return std::isdigit(c) != 0;
-                                 }),
-                 "non-numeric value on mapping CSV line " +
-                     std::to_string(line_no));
-  try {
-    const std::uint64_t v = std::stoull(cell);
-    NOCMAP_REQUIRE(v <= max, "value out of range on mapping CSV line " +
-                                 std::to_string(line_no));
-    return v;
-  } catch (const std::out_of_range&) {
-    throw Error("value out of range on mapping CSV line " +
-                std::to_string(line_no));
-  }
-}
-
-}  // namespace
 
 void write_mapping_csv(const Mapping& mapping, std::ostream& out) {
   out << "thread,tile\n";
@@ -68,14 +42,13 @@ Mapping read_mapping_csv(std::istream& in) {
                        line.find(',', comma + 1) == std::string::npos,
                    "expected 2 columns on mapping CSV line " +
                        std::to_string(line_no));
-    NOCMAP_REQUIRE(parse_index(line.substr(0, comma),
-                               std::numeric_limits<std::uint64_t>::max(),
-                               line_no) == mapping.thread_to_tile.size(),
-                   "thread index mismatch on mapping CSV line " +
-                       std::to_string(line_no));
-    mapping.thread_to_tile.push_back(static_cast<TileId>(
-        parse_index(line.substr(comma + 1),
-                    std::numeric_limits<TileId>::max(), line_no)));
+    const std::string where = "mapping CSV line " + std::to_string(line_no);
+    NOCMAP_REQUIRE(parse_unsigned(line.substr(0, comma),
+                                  std::numeric_limits<std::uint64_t>::max(),
+                                  where) == mapping.thread_to_tile.size(),
+                   "thread index mismatch on " + where);
+    mapping.thread_to_tile.push_back(static_cast<TileId>(parse_unsigned(
+        line.substr(comma + 1), std::numeric_limits<TileId>::max(), where)));
   }
   NOCMAP_REQUIRE(!mapping.thread_to_tile.empty(), "mapping CSV has no rows");
   NOCMAP_REQUIRE(mapping.is_valid_permutation(mapping.size()),

@@ -9,22 +9,31 @@ namespace nocmap {
 
 namespace {
 
+/// Scratch one remap reuses across its penalty steps. Every solve runs
+/// cold, so reuse changes no result, only the allocations.
+struct TileSetScratch {
+  AssignmentWorkspace ws;
+  std::vector<double> cost;
+  std::vector<TileId> tiles;
+};
+
 /// Stage 2 of the migration-aware remap: within each application, assign
 /// threads onto the fresh tile sets with the migration penalty λ folded into
 /// the cost (see the header comment). Factored out so remap_budgeted can
 /// re-run it under different penalties without repeating the SSS solve.
+/// The report is left empty: only the result a remap returns is evaluated.
 RemapResult assign_within_tile_sets(const ObmProblem& problem,
                                     const Mapping& fresh,
                                     const Mapping& old_mapping,
-                                    double migration_penalty_cycles) {
+                                    double migration_penalty_cycles,
+                                    TileSetScratch& scratch) {
   const Workload& wl = problem.workload();
   const TileLatencyModel& model = problem.model();
 
   RemapResult result;
   result.mapping.thread_to_tile.resize(problem.num_threads());
-  AssignmentWorkspace ws;
-  std::vector<double> cost;
-  std::vector<TileId> tiles;
+  std::vector<double>& cost = scratch.cost;
+  std::vector<TileId>& tiles = scratch.tiles;
   for (std::size_t a = 0; a < wl.num_applications(); ++a) {
     const std::size_t lo = wl.first_thread(a);
     const std::size_t dn = wl.last_thread(a) - lo;
@@ -48,7 +57,7 @@ RemapResult assign_within_tile_sets(const ObmProblem& problem,
       }
     }
     const Assignment& assignment =
-        ws.solve(CostView(cost.data(), dn, dn, dn));
+        scratch.ws.solve(CostView(cost.data(), dn, dn, dn));
     for (std::size_t t = 0; t < dn; ++t) {
       result.mapping.thread_to_tile[lo + t] =
           tiles[assignment.row_to_col[t]];
@@ -66,6 +75,11 @@ RemapResult assign_within_tile_sets(const ObmProblem& problem,
       ++result.moved_threads;
     }
   }
+  return result;
+}
+
+/// Fills in the report of the result a remap returns.
+RemapResult evaluated(const ObmProblem& problem, RemapResult result) {
   result.report = evaluate(problem, result.mapping);
   return result;
 }
@@ -122,8 +136,10 @@ RemapResult remap_balanced(const ObmProblem& problem,
   // Stage 1: fresh balanced solution fixes the per-application tile sets.
   SortSelectSwapMapper sss(sss_options);
   const Mapping fresh = sss.map(problem);
-  return assign_within_tile_sets(problem, fresh, old_mapping,
-                                 migration_penalty_cycles);
+  TileSetScratch scratch;
+  return evaluated(problem,
+                   assign_within_tile_sets(problem, fresh, old_mapping,
+                                           migration_penalty_cycles, scratch));
 }
 
 BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
@@ -136,10 +152,11 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
   const Mapping fresh = sss.map(problem);
 
   BudgetedRemapResult out;
+  TileSetScratch scratch;
   RemapResult free_moves =
-      assign_within_tile_sets(problem, fresh, old_mapping, 0.0);
+      assign_within_tile_sets(problem, fresh, old_mapping, 0.0, scratch);
   if (free_moves.moved_threads <= max_moved_threads) {
-    out.remap = std::move(free_moves);
+    out.remap = evaluated(problem, std::move(free_moves));
     return out;
   }
 
@@ -158,7 +175,7 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
   double hi = 1.0;
   RemapResult at_hi;
   for (;;) {
-    at_hi = assign_within_tile_sets(problem, fresh, old_mapping, hi);
+    at_hi = assign_within_tile_sets(problem, fresh, old_mapping, hi, scratch);
     if (at_hi.moved_threads <= max_moved_threads) break;
     lo = hi;
     hi *= 16.0;
@@ -177,7 +194,7 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
   for (int iter = 0; iter < 24; ++iter) {
     const double mid = 0.5 * (lo + hi);
     RemapResult at_mid =
-        assign_within_tile_sets(problem, fresh, old_mapping, mid);
+        assign_within_tile_sets(problem, fresh, old_mapping, mid, scratch);
     if (at_mid.moved_threads <= max_moved_threads) {
       hi = mid;
       at_hi = std::move(at_mid);
@@ -185,7 +202,7 @@ BudgetedRemapResult remap_budgeted(const ObmProblem& problem,
       lo = mid;
     }
   }
-  out.remap = std::move(at_hi);
+  out.remap = evaluated(problem, std::move(at_hi));
   out.penalty_cycles = hi;
   return out;
 }

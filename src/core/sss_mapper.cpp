@@ -25,6 +25,7 @@ const obs::Timer t_swap("sss.swap");
 const obs::Timer t_final_sam("sss.final_sam");
 const obs::Counter c_maps("sss.maps");
 const obs::Counter c_windows_evaluated("sss.windows_evaluated");
+const obs::Counter c_windows_skipped("sss.windows_skipped");
 const obs::Counter c_windows_committed("sss.windows_committed");
 const obs::Counter c_rounds("sss.rounds");
 const obs::Counter c_stale_discarded("sss.windows_discarded_stale");
@@ -64,8 +65,9 @@ std::vector<Window> window_schedule(std::size_t n, std::size_t w,
   return windows;
 }
 
-/// Reusable buffers for evaluate_window. After a call, window_threads and
-/// best_tiles describe the last evaluated window. cand_tiles holds all
+/// Reusable buffers for evaluate_window. After a call, window_threads
+/// describes the last evaluated window, and best_tiles its best permutation
+/// when the call returned true. cand_tiles holds all
 /// w!-1 non-identity window permutations at once, transposed (position-
 /// major: candidate k's tile for position x lives at x·K + k), the layout
 /// score_group_candidates consumes with contiguous per-position rows.
@@ -77,6 +79,7 @@ struct WindowScratch {
   std::vector<TileId> cand_tiles;
   std::vector<double> scores;
   std::size_t num_candidates;  // w! - 1
+  std::uint64_t skipped = 0;   // windows dismissed by the cutoff
 
   explicit WindowScratch(std::size_t w)
       : perm_idx(w), window_tiles(w), window_threads(w), best_tiles(w) {
@@ -93,12 +96,14 @@ struct WindowScratch {
 /// tiles in a single batched pass and records the best strictly-improving
 /// one in s.best_tiles. The evaluator is never mutated: all candidates are
 /// enumerated into the scratch's transposed block and scored through
-/// MappingEvaluator::score_group_candidates, whose values are bit-identical
-/// to the objective() an apply/revert probe would have observed. Selection
-/// walks the scores in the same next_permutation order with the same
-/// strict-< test, so the chosen permutation — and therefore the whole SSS
-/// mapping — is bit-identical to the old mutating probe loop, at a fraction
-/// of the work (no per-candidate numerator rebuilds for apply and revert).
+/// MappingEvaluator::score_group_candidates with the live objective as the
+/// cutoff. Only a score below the live objective can be selected, and those
+/// are bit-identical to the objective() an apply/revert probe would have
+/// observed, so walking the scores in the same next_permutation order with
+/// the same strict-< test picks the same permutation — and the whole SSS
+/// mapping stays bit-identical to the old mutating probe loop. A window
+/// whose untouched applications alone already reach the live objective
+/// cannot improve it and is dismissed before any enumeration.
 ///
 /// Because evaluation is read-only, the parallel speculation workers score
 /// windows directly against the shared evaluator instead of mutating
@@ -115,8 +120,10 @@ bool evaluate_window(const MappingEvaluator& eval,
 
   // Baseline = identity permutation of the window.
   double best_obj = eval.objective();
-  s.best_tiles = s.window_tiles;
-  bool improved = false;
+  if (eval.group_floor(s.window_threads) >= best_obj) {
+    ++s.skipped;
+    return false;
+  }
 
   std::iota(s.perm_idx.begin(), s.perm_idx.end(), std::size_t{0});
   std::size_t k = 0;
@@ -128,22 +135,20 @@ bool evaluate_window(const MappingEvaluator& eval,
   }
   NOCMAP_ASSERT(k == K);
   eval.score_group_candidates(s.window_threads, s.cand_tiles.data(), K,
-                              s.scores);
+                              best_obj, s.scores);
 
   std::size_t best_k = K;
   for (k = 0; k < K; ++k) {
     if (s.scores[k] < best_obj) {
       best_obj = s.scores[k];
       best_k = k;
-      improved = true;
     }
   }
-  if (improved) {
-    for (std::size_t x = 0; x < w; ++x) {
-      s.best_tiles[x] = s.cand_tiles[x * K + best_k];
-    }
+  if (best_k == K) return false;
+  for (std::size_t x = 0; x < w; ++x) {
+    s.best_tiles[x] = s.cand_tiles[x * K + best_k];
   }
-  return improved;
+  return true;
 }
 
 /// The canonical serial sweep: evaluate each window in order, greedily
@@ -160,6 +165,7 @@ void sweep_windows_serial(MappingEvaluator& eval,
     }
   }
   c_windows_evaluated.add(windows.size());
+  c_windows_skipped.add(s.skipped);
   c_windows_committed.add(committed);
 }
 
@@ -226,6 +232,7 @@ void sweep_windows_parallel(MappingEvaluator& eval,
         r.improved = evaluate_window(eval, sorted, windows[i], s);
         if (r.improved) r.best_tiles = s.best_tiles;
       }
+      c_windows_skipped.add(s.skipped);
     });
 
     // Serial canonical commit walk.

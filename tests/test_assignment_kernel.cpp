@@ -1,7 +1,8 @@
 // Property tests for the allocation-free assignment kernel: CostView
 // indexing, workspace solves vs. the brute-force reference on adversarial
 // cost families, warm-start == cold-start assignment identity, rectangular
-// solves, and the ThreadCostCache prefix-sum / lazy-view plumbing.
+// solves, the ThreadCostCache prefix-sum / lazy-view plumbing, and the
+// kernel's tie-breaking pinned against check::reference_assignment.
 #include "assign/hungarian.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "check/oracles.h"
+#include "core/cost_cache.h"
 #include "core/sam.h"
 #include "util/rng.h"
+#include "workload/synthesis.h"
 
 namespace nocmap {
 namespace {
@@ -307,6 +311,90 @@ TEST(Sam, WorkspaceOverloadMatchesClassicPath) {
     const SamResult warm = solve_sam(cache, lo, tiles, ws, /*warm=*/true);
     EXPECT_EQ(warm.tiles, classic.tiles);
     EXPECT_NEAR(warm.apl, classic.apl, 1e-9);
+  }
+}
+
+// ---- Tie-breaking pinned against the reference kernel -------------------
+//
+// Chip cost tables are full of ties: symmetric tiles give duplicate columns
+// and zero-rate pad threads all-zero rows. Which optimum the kernel returns
+// decides every Global, SAM and SSS mapping, so the workspace must make
+// exactly the choices of the two-pass loop it replaced: the same
+// row_to_col and the same total_cost bits.
+
+/// Feeds one solve sequence to a workspace and to the reference kernel,
+/// each carrying its own warm-start potentials.
+class ReferencePair {
+ public:
+  void expect_same(const CostView& view, bool warm) {
+    const Assignment want = check::reference_assignment(view, v_, warm);
+    const Assignment& got = warm ? ws_.solve_warm(view) : ws_.solve(view);
+    EXPECT_EQ(got.row_to_col, want.row_to_col)
+        << view.rows() << "x" << view.cols() << (warm ? " warm" : " cold");
+    EXPECT_FALSE(got.total_cost != want.total_cost)
+        << got.total_cost << " vs " << want.total_cost;
+  }
+
+ private:
+  AssignmentWorkspace ws_;
+  std::vector<double> v_;
+};
+
+TEST(KernelTies, CostCacheRowsMatchReference) {
+  for (const std::uint32_t side : {8u, 16u}) {
+    const Mesh mesh = Mesh::square(side);
+    SynthesisOptions opt;
+    opt.num_applications = 4;
+    opt.threads_per_app = mesh.num_tiles() / 4 - 2;  // 8 zero-rate pads
+    const Workload wl =
+        synthesize_workload(parsec_table3_configs()[side % 8], side, opt)
+            .padded_to(mesh.num_tiles());
+    const TileLatencyModel model(mesh, LatencyParams{});
+    const ThreadCostCache cache(wl, model);
+    const std::size_t n = mesh.num_tiles();
+    Rng rng(side);
+
+    ReferencePair pair;
+    // Global: every thread over every tile.
+    pair.expect_same(CostView(cache.row(0), n, n, cache.row_stride()), false);
+    for (std::size_t a = 0; a < wl.num_applications(); ++a) {
+      const std::size_t lo = wl.first_thread(a);
+      const std::size_t dn = wl.last_thread(a) - lo;
+      // The relaxed bound's rectangular solve over every tile.
+      pair.expect_same(CostView(cache.row(lo), dn, n, cache.row_stride()),
+                       true);
+      // SAM on a symmetric tile set (a block of rows mirrored about the
+      // centre), then warm re-solves as the SSS repair stage issues them.
+      std::vector<TileId> tiles;
+      for (std::size_t k = 0; tiles.size() < dn; ++k) {
+        const std::size_t t = (a * dn / 2 + k) % (n / 2);
+        tiles.push_back(static_cast<TileId>(t));
+        if (tiles.size() < dn) tiles.push_back(static_cast<TileId>(n - 1 - t));
+      }
+      pair.expect_same(cache.sam_view(lo, tiles), false);
+      rng.shuffle(tiles);
+      pair.expect_same(cache.sam_view(lo, tiles), true);
+      pair.expect_same(cache.sam_view(lo, tiles), true);
+    }
+  }
+}
+
+TEST(KernelTies, IntegerMatricesMatchReference) {
+  // Costs in {0, 1, 2}: nearly every step of every path has tied minima.
+  Rng rng(2024);
+  ReferencePair pair;
+  for (int round = 0; round < 30; ++round) {
+    const std::size_t rows = 1 + rng.uniform_u32(12);
+    const std::size_t cols = rows + (round % 3 == 0 ? rng.uniform_u32(5) : 0);
+    std::vector<double> a(rows * cols);
+    std::vector<double> b(rows * cols);
+    for (double& x : a) x = static_cast<double>(rng.uniform_u32(3));
+    for (double& x : b) x = static_cast<double>(rng.uniform_u32(3));
+    // Cold, then warm on a sibling (potentials carried from a different
+    // instance when square), then warm back on the first.
+    pair.expect_same(CostView(a.data(), rows, cols, cols), false);
+    pair.expect_same(CostView(b.data(), rows, cols, cols), true);
+    pair.expect_same(CostView(a.data(), rows, cols, cols), true);
   }
 }
 

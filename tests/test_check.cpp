@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/fuzzer.h"
 #include "check/oracles.h"
@@ -224,6 +227,43 @@ TEST(Repro, ClassicFormatWithoutNewKeysParses) {
   EXPECT_EQ(spec.traffic_mode, MemoryTrafficMode::kProximity);
   EXPECT_EQ(spec.mesh_side, 5u);
   EXPECT_TRUE(spec.bursty);
+}
+
+TEST(Repro, RejectsOutOfRangeAndMalformedValues) {
+  // Each value is swapped into a valid classic repro. Narrowing casts and
+  // prefix parses once replayed the first five as mesh_side 4, mesh_side 4,
+  // threads_per_app 5, torus 0 and a wrapped seed.
+  const std::string valid =
+      "seed=42\nmesh_side=5\nmc_placement=corners\ntorus=0\nconfig=C3\n"
+      "num_applications=2\nthreads_per_app=4\ninjection_scale=0.75\n"
+      "bursty=1\n";
+  const auto with = [&valid](const std::string& key, const std::string& value) {
+    const std::size_t at = valid.find(key + "=");
+    const std::size_t end = valid.find('\n', at);
+    std::string text = valid;
+    text.replace(at, end - at, key + "=" + value);
+    return text;
+  };
+  ASSERT_NO_THROW(from_repro(valid));
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"mesh_side", "4294967300"},
+           {"mesh_side", "4abc"},
+           {"threads_per_app", "4294967301"},
+           {"torus", "0junk"},
+           {"seed", "-12"},
+           {"seed", "18446744073709551616"},
+           {"mesh_side", ""},
+           {"mesh_side", "+5"},
+           {"mesh_side", " 5"},
+           {"bursty", "2"},
+           {"injection_scale", "0.5x"},
+           {"injection_scale", "nan"},
+           {"injection_scale", " 0.5"},
+           {"injection_scale", "1e999"}}) {
+    EXPECT_THROW(from_repro(with(key, value)), Error) << key << "=" << value;
+  }
+  EXPECT_EQ(from_repro(with("seed", "18446744073709551615")).seed,
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Repro, GeneralizedScenarioRoundTrips) {

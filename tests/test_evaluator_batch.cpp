@@ -9,8 +9,10 @@
 // annealer's acceptance test runs on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -53,6 +55,8 @@ ObmProblem weighted(const ObmProblem& p) {
 }
 
 using check::reference_objective;
+
+constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
 TEST(BatchEvaluator, BitIdenticalToScalarAcrossSizes) {
   const ObmProblem problems[] = {make_problem(4, 4), make_problem(8, 8),
@@ -188,7 +192,8 @@ TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {
     }
   }
   std::vector<double> scores(count);
-  eval.score_group_candidates(threads, transposed.data(), count, scores);
+  eval.score_group_candidates(threads, transposed.data(), count, kNoCutoff,
+                              scores);
 
   for (std::size_t b = 0; b < count; ++b) {
     eval.apply_group(threads, cands[b]);
@@ -197,6 +202,120 @@ TEST(MappingEvaluatorBatch, GroupCandidatesBitMatchApplyGroup) {
               reference_objective(p, cache, eval.mapping().thread_to_tile))
         << "candidate " << b;
     eval.apply_group(threads, held);  // revert
+  }
+}
+
+TEST(MappingEvaluatorBatch, GroupCutoffContractHolds) {
+  // score_group's pruned contract on SSS-shaped windows (2 to 4 threads,
+  // all their permutations): below the cutoff a score is the exact
+  // reference objective; at or above it the reference is too.
+  const ObmProblem p = weighted(make_problem(8, 2));
+  const std::size_t n = p.num_threads();
+  const ThreadCostCache cache(p.workload(), p.model());
+  Rng rng(53);
+  MappingEvaluator eval(p, Mapping{random_perm(n, rng)}, cache);
+
+  std::size_t exact = 0;
+  std::size_t cut = 0;
+  for (int window = 0; window < 120; ++window) {
+    const std::size_t w = 2 + static_cast<std::size_t>(window % 3);
+    std::vector<std::size_t> threads;
+    while (threads.size() < w) {
+      const std::size_t j = rng.uniform_u32(static_cast<std::uint32_t>(n));
+      if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
+        threads.push_back(j);
+      }
+    }
+    std::vector<TileId> held;
+    for (const std::size_t j : threads) {
+      held.push_back(eval.mapping().tile_of(j));
+    }
+    std::vector<std::vector<TileId>> cands;
+    std::vector<TileId> perm = held;
+    std::sort(perm.begin(), perm.end());
+    do {
+      cands.push_back(perm);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    const std::size_t count = cands.size();
+    std::vector<TileId> transposed(threads.size() * count);
+    std::vector<double> truth(count);
+    for (std::size_t b = 0; b < count; ++b) {
+      for (std::size_t x = 0; x < threads.size(); ++x) {
+        transposed[x * count + b] = cands[b][x];
+      }
+      eval.apply_group(threads, cands[b]);
+      truth[b] = reference_objective(p, cache, eval.mapping().thread_to_tile);
+      eval.apply_group(threads, held);
+    }
+
+    // Cutoffs: the SSS one (the live objective), none, a random level and
+    // a candidate's own score across the candidates' range, and the floor
+    // of the untouched applications and halfway from it to the lowest
+    // score, where whole windows are dismissed.
+    const auto [lo, hi] = std::minmax_element(truth.begin(), truth.end());
+    const double floor = eval.group_floor(threads);
+    for (const double cutoff :
+         {eval.objective(), kNoCutoff, rng.uniform(*lo, *hi),
+          truth[rng.uniform_u32(static_cast<std::uint32_t>(count))], floor,
+          0.5 * (floor + *lo)}) {
+      std::vector<double> scores(count);
+      eval.score_group_candidates(threads, transposed.data(), count, cutoff,
+                                  scores);
+      for (std::size_t b = 0; b < count; ++b) {
+        if (scores[b] < cutoff) {
+          EXPECT_EQ(scores[b], truth[b]) << "window " << window;
+          ++exact;
+        } else {
+          EXPECT_GE(truth[b], cutoff) << "window " << window;
+          ++cut;
+        }
+      }
+    }
+    // Commit one candidate so later windows see a moving live state.
+    eval.apply_group(threads, cands[rng.uniform_u32(
+                                  static_cast<std::uint32_t>(count))]);
+  }
+  // Both sides of the contract were exercised.
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(cut, 0u);
+}
+
+TEST(MappingEvaluatorBatch, PrefixesEqualFromScratchRecompute) {
+  const ObmProblem p = weighted(make_problem(8, 3));
+  const std::size_t n = p.num_threads();
+  const ThreadCostCache cache(p.workload(), p.model());
+  Rng rng(59);
+  MappingEvaluator eval(p, Mapping{random_perm(n, rng)}, cache);
+  const auto un = static_cast<std::uint32_t>(n);
+  for (int step = 0; step < 500; ++step) {
+    if (step % 3 == 0) {
+      eval.swap_threads(rng.uniform_u32(un), rng.uniform_u32(un));
+    } else {
+      std::vector<std::size_t> threads;
+      while (threads.size() < 4) {
+        const std::size_t j = rng.uniform_u32(un);
+        if (std::find(threads.begin(), threads.end(), j) == threads.end()) {
+          threads.push_back(j);
+        }
+      }
+      std::vector<TileId> tiles;
+      for (const std::size_t j : threads) {
+        tiles.push_back(eval.mapping().tile_of(j));
+      }
+      rng.shuffle(tiles);
+      eval.apply_group(threads, tiles);
+    }
+  }
+  // A fresh evaluator on the same mapping, and the running sums by hand.
+  const MappingEvaluator fresh(p, eval.mapping(), cache);
+  const Workload& wl = p.workload();
+  for (std::size_t a = 0; a < wl.num_applications(); ++a) {
+    double sum = 0.0;
+    for (std::size_t j = wl.first_thread(a); j < wl.last_thread(a); ++j) {
+      EXPECT_EQ(eval.prefixes()[j], sum) << "thread " << j;
+      EXPECT_EQ(eval.prefixes()[j], fresh.prefixes()[j]) << "thread " << j;
+      sum += cache.row(j)[eval.mapping().tile_of(j)];
+    }
   }
 }
 
