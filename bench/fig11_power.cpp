@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "power/dsent_lite.h"
+#include "topology/routing.h"
 
 int main() {
   using namespace nocmap;
@@ -57,7 +58,7 @@ int main() {
                           .report(results[idx].activity,
                                   results[idx].measured_cycles,
                                   problem.mesh().num_tiles(),
-                                  mesh_link_count(problem.mesh()))
+                                  num_directed_links(problem.mesh()))
                           .dynamic_mw;
   }
 
@@ -85,7 +86,7 @@ int main() {
   std::cout << "\nStatic power is identical across schemes ("
             << fmt(power
                        .report(ActivityCounters{}, 1, 64,
-                               mesh_link_count(Mesh::square(8)))
+                               num_directed_links(Mesh::square(8)))
                        .static_mw,
                    1)
             << " mW for the 8x8 fabric) and therefore not compared.\n";

@@ -162,8 +162,9 @@ Mesh build_mesh(const ScenarioSpec& spec) {
 }
 
 bool simulator_supported(const ScenarioSpec& spec) {
-  // Network's neighbor map covers planar and vertical links but no torus
-  // wraparound (network.cpp rejects torus meshes outright).
+  // The routing layer (topology/routing.h) steps along planar and vertical
+  // links but no torus wraparound (network.cpp rejects torus meshes
+  // outright).
   return !spec.torus;
 }
 

@@ -80,10 +80,10 @@ Mesh build_mesh(const ScenarioSpec& spec);
 
 /// True when the cycle-level simulator models this spec's topology. The
 /// simulator handles planar and stacked meshes but not torus wraparound
-/// (Network's neighbor map has no wrap links); callers — the netsim
-/// oracles' applicability gates and the sweep runner's netsim stage — must
-/// classify unsupported combos as skips instead of reaching the
-/// simulator's NOCMAP_REQUIRE.
+/// (the routing layer, topology/routing.h, has no wrap links); callers —
+/// the netsim oracles' applicability gates and the sweep runner's netsim
+/// stage — must classify unsupported combos as skips instead of reaching
+/// the simulator's NOCMAP_REQUIRE.
 bool simulator_supported(const ScenarioSpec& spec);
 
 /// Builds the OBM instance the spec describes: build_mesh()'s chip, a

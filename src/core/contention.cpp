@@ -1,122 +1,37 @@
 #include "core/contention.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
+
+#include "topology/routing.h"
 
 namespace nocmap {
 
-namespace {
-
-/// Direction slot of the link from `from` to adjacent `to`:
-/// 0=east, 1=west, 2=south, 3=north, 4=up, 5=down.
-constexpr std::size_t kLinkSlots = 6;
-
-std::size_t direction_slot(const Mesh& mesh, TileId from, TileId to) {
-  const TileCoord a = mesh.coord_of(from);
-  const TileCoord b = mesh.coord_of(to);
-  if (b.layer == a.layer) {
-    if (b.row == a.row && b.col == a.col + 1) return 0;
-    if (b.row == a.row && a.col == b.col + 1) return 1;
-    if (b.col == a.col && b.row == a.row + 1) return 2;
-    if (b.col == a.col && a.row == b.row + 1) return 3;
-  } else if (b.row == a.row && b.col == a.col) {
-    if (b.layer == a.layer + 1) return 4;
-    if (a.layer == b.layer + 1) return 5;
-  }
-  throw Error("link endpoints are not mesh-adjacent");
-}
-
-/// Invokes fn(at, next) for every directed link on the dimension-order
-/// (X, then Y, then Z) path src→dst.
-template <typename Fn>
-void walk_path(const Mesh& mesh, TileId src, TileId dst, Fn&& fn) {
-  TileCoord here = mesh.coord_of(src);
-  const TileCoord there = mesh.coord_of(dst);
-  TileId at = src;
-  while (here.col != there.col) {
-    here.col = here.col < there.col ? here.col + 1 : here.col - 1;
-    const TileId next = mesh.tile_at(here);
-    fn(at, next);
-    at = next;
-  }
-  while (here.row != there.row) {
-    here.row = here.row < there.row ? here.row + 1 : here.row - 1;
-    const TileId next = mesh.tile_at(here);
-    fn(at, next);
-    at = next;
-  }
-  while (here.layer != there.layer) {
-    here.layer = here.layer < there.layer ? here.layer + 1 : here.layer - 1;
-    const TileId next = mesh.tile_at(here);
-    fn(at, next);
-    at = next;
-  }
-}
-
-}  // namespace
-
 std::size_t ContentionModel::link_index(TileId from, TileId to) const {
-  return static_cast<std::size_t>(from) * kLinkSlots +
-         direction_slot(*mesh_, from, to);
+  const PortDir port = next_port(*mesh_, from, to, /*yx=*/false);
+  NOCMAP_REQUIRE(port != PortDir::kLocal &&
+                     neighbor_of(*mesh_, from, port) == to,
+                 "link endpoints are not mesh-adjacent");
+  return static_cast<std::size_t>(from) * kNumPorts + port_index(port);
 }
 
 void ContentionModel::add_flow(TileId src, TileId dst,
                                double flits_per_cycle) {
   if (src == dst || flits_per_cycle <= 0.0) return;
-  walk_path(*mesh_, src, dst, [&](TileId at, TileId next) {
-    load_[link_index(at, next)] += flits_per_cycle;
+  for_each_link(*mesh_, src, dst, [&](TileId at, PortDir port) {
+    load_[at * kNumPorts + port_index(port)] += flits_per_cycle;
   });
 }
 
 void ContentionModel::add_multicast_tree(TileId from,
-                                         std::vector<TileId> dests,
+                                         std::span<const TileId> dests,
                                          double flits_per_cycle) {
-  // Mirror of TrafficEngine::emit_multicast: shared tree prefixes carry the
+  // The tree TrafficEngine::emit_multicast sends: shared prefixes carry the
   // request once; replication happens at branch points.
-  dests.erase(std::remove(dests.begin(), dests.end(), from), dests.end());
-  if (dests.empty() || flits_per_cycle <= 0.0) return;
-
-  const TileCoord here = mesh_->coord_of(from);
-  enum { kEastG, kWestG, kSouthG, kNorthG, kUpG, kDownG, kNumGroups };
-  std::array<std::vector<TileId>, kNumGroups> groups;
-  std::array<TileCoord, kNumGroups> extreme{};
-  for (TileId m : dests) {
-    const TileCoord c = mesh_->coord_of(m);
-    std::size_t g;
-    if (c.col > here.col) g = kEastG;
-    else if (c.col < here.col) g = kWestG;
-    else if (c.row > here.row) g = kSouthG;
-    else if (c.row < here.row) g = kNorthG;
-    else if (c.layer > here.layer) g = kUpG;
-    else g = kDownG;
-    if (groups[g].empty()) {
-      extreme[g] = c;
-    } else {
-      switch (g) {
-        case kEastG: extreme[g].col = std::min(extreme[g].col, c.col); break;
-        case kWestG: extreme[g].col = std::max(extreme[g].col, c.col); break;
-        case kSouthG: extreme[g].row = std::min(extreme[g].row, c.row); break;
-        case kNorthG: extreme[g].row = std::max(extreme[g].row, c.row); break;
-        case kUpG:
-          extreme[g].layer = std::min(extreme[g].layer, c.layer);
-          break;
-        case kDownG:
-          extreme[g].layer = std::max(extreme[g].layer, c.layer);
-          break;
-      }
-    }
-    groups[g].push_back(m);
-  }
-  for (std::size_t g = 0; g < kNumGroups; ++g) {
-    if (groups[g].empty()) continue;
-    TileCoord next = here;
-    if (g == kEastG || g == kWestG) next.col = extreme[g].col;
-    else if (g == kSouthG || g == kNorthG) next.row = extreme[g].row;
-    else next.layer = extreme[g].layer;
-    const TileId endpoint = mesh_->tile_at(next);
-    add_flow(from, endpoint, flits_per_cycle);
-    add_multicast_tree(endpoint, std::move(groups[g]), flits_per_cycle);
+  if (flits_per_cycle <= 0.0) return;
+  for (const TreeBranch& branch : multicast_branches(*mesh_, from, dests)) {
+    add_flow(from, branch.endpoint, flits_per_cycle);
+    add_multicast_tree(branch.endpoint, branch.dests, flits_per_cycle);
   }
 }
 
@@ -128,7 +43,7 @@ ContentionModel::ContentionModel(const ObmProblem& problem,
                  "contention model needs a valid mapping");
   NOCMAP_REQUIRE(config.injection_scale > 0.0,
                  "injection scale must be positive");
-  load_.assign(problem.num_tiles() * kLinkSlots, 0.0);
+  load_.assign(problem.num_tiles() * kNumPorts, 0.0);
 
   const Workload& wl = problem.workload();
   const auto n = static_cast<double>(problem.num_tiles());
@@ -175,8 +90,7 @@ ContentionModel::ContentionModel(const ObmProblem& problem,
           break;
         }
         case MemoryTrafficMode::kMulticast: {
-          add_multicast_tree(s, {mcs.begin(), mcs.end()},
-                             memory_rate * config.request_flits);
+          add_multicast_tree(s, mcs, memory_rate * config.request_flits);
           // One data reply, from the designated responder (nearest MC).
           if (config.include_replies) {
             add_flow(mesh_->nearest_mc(s), s,
@@ -198,14 +112,9 @@ double ContentionModel::max_utilization() const {
 }
 
 double ContentionModel::mean_utilization() const {
-  // Count only physical links (border tiles lack some directions; their
-  // slots stay zero and are excluded).
-  const std::size_t planar =
-      2 * (mesh_->rows() * (mesh_->cols() - 1) +
-           mesh_->cols() * (mesh_->rows() - 1)) * mesh_->layers();
-  const std::size_t vertical =
-      2 * (mesh_->layers() - 1) * mesh_->tiles_per_layer();
-  const std::size_t links = planar + vertical;
+  // Count only physical links (border tiles lack some directions and the
+  // local port is no link; their slots stay zero and are excluded).
+  const std::uint64_t links = num_directed_links(*mesh_);
   double sum = 0.0;
   for (double u : load_) sum += u;
   return links > 0 ? sum / static_cast<double>(links) : 0.0;
@@ -225,8 +134,8 @@ double ContentionModel::expected_packet_queuing(TileId src,
                                                 TileId dst) const {
   if (src == dst) return 0.0;
   double total = 0.0;
-  walk_path(*mesh_, src, dst, [&](TileId at, TileId next) {
-    total += queue_delay(link_load(at, next));
+  for_each_link(*mesh_, src, dst, [&](TileId at, PortDir port) {
+    total += queue_delay(load_[at * kNumPorts + port_index(port)]);
   });
   return total;
 }

@@ -13,11 +13,18 @@
 //
 //     W(u) = u / (2·(1 − u))   cycles of queueing per flit
 //
+// Paths, link indices and the multicast tree come from the routing layer
+// (topology/routing.h) the simulator routes by, so the model walks exactly
+// the links the netsim loads. Like the simulator it models plain meshes
+// only: on a torus Mesh::hops wraps and a non-wrapping walk would not, so
+// the walks reject a torus.
+//
 // Uses: predicting the saturation injection scale (1 / max link
 // utilization), a mapping-dependent td_q estimate to refine the latency
 // model, and hotspot analysis (does balancing APLs also balance links?).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/problem.h"
@@ -70,11 +77,13 @@ class ContentionModel {
  private:
   std::size_t link_index(TileId from, TileId to) const;
   void add_flow(TileId src, TileId dst, double flits_per_cycle);
-  void add_multicast_tree(TileId from, std::vector<TileId> dests,
+  void add_multicast_tree(TileId from, std::span<const TileId> dests,
                           double flits_per_cycle);
 
   const Mesh* mesh_;
-  std::vector<double> load_;  // 6 directed link slots per tile
+  /// Flits/cycle per directed link, indexed tile·kNumPorts + port (the
+  /// routing layer's link index; local-port and off-mesh slots stay 0).
+  std::vector<double> load_;
 };
 
 }  // namespace nocmap

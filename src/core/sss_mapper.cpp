@@ -192,15 +192,18 @@ void sweep_windows_parallel(MappingEvaluator& eval,
                             std::span<const TileId> sorted,
                             std::span<const Window> windows, std::size_t w,
                             ParallelTrialRunner& runner, bool deterministic) {
-  struct WindowResult {
-    bool improved = false;
-    std::vector<TileId> best_tiles;
-  };
-
   const std::size_t threads = runner.num_threads();
   const std::size_t min_round = threads * 4;
   const std::size_t max_round = std::max<std::size_t>(min_round, 2048);
-  std::vector<WindowResult> results(windows.size());
+  // Per window: did its speculation improve, and (row i of a flat
+  // windows × w block) the improving permutation.
+  std::vector<std::uint8_t> improved(windows.size(), 0);
+  std::vector<TileId> best_tiles(windows.size() * w);
+  // A round fans out to at most threads·2 tasks; each owns one scratch,
+  // built once per sweep like the serial sweep's.
+  std::vector<WindowScratch> task_scratch;
+  task_scratch.reserve(threads * 2);
+  for (std::size_t t = 0; t < threads * 2; ++t) task_scratch.emplace_back(w);
   WindowScratch commit_scratch(w);
 
   std::uint64_t rounds = 0;
@@ -226,11 +229,14 @@ void sweep_windows_parallel(MappingEvaluator& eval,
       const std::size_t lo = pos + t * per_task;
       const std::size_t hi = std::min(lo + per_task, end);
       if (lo >= hi) return;
-      WindowScratch s(w);
+      WindowScratch& s = task_scratch[t];
+      s.skipped = 0;
       for (std::size_t i = lo; i < hi; ++i) {
-        WindowResult& r = results[i];
-        r.improved = evaluate_window(eval, sorted, windows[i], s);
-        if (r.improved) r.best_tiles = s.best_tiles;
+        improved[i] = evaluate_window(eval, sorted, windows[i], s) ? 1 : 0;
+        if (improved[i]) {
+          std::copy(s.best_tiles.begin(), s.best_tiles.end(),
+                    best_tiles.begin() + static_cast<std::ptrdiff_t>(i * w));
+        }
       }
       c_windows_skipped.add(s.skipped);
     });
@@ -239,7 +245,7 @@ void sweep_windows_parallel(MappingEvaluator& eval,
     std::size_t next = end;
     bool committed = false;
     for (std::size_t i = pos; i < end; ++i) {
-      if (!results[i].improved) continue;
+      if (!improved[i]) continue;
       if (!committed) {
         // Every earlier window in the round left the state untouched, so
         // this speculation saw the exact serial state: commit verbatim.
@@ -250,7 +256,7 @@ void sweep_windows_parallel(MappingEvaluator& eval,
               eval.thread_on(commit_scratch.window_tiles[x]);
         }
         eval.apply_group(commit_scratch.window_threads,
-                         results[i].best_tiles);
+                         {best_tiles.data() + i * w, w});
         committed = true;
         ++n_committed;
         if (deterministic) {

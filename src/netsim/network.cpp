@@ -83,33 +83,6 @@ Network::Bucket& Network::bucket_at(Domain& d, Cycle cycle) {
   return d.ring[cycle % d.ring.size()];
 }
 
-TileId Network::neighbor(TileId tile, PortDir dir) const {
-  const TileCoord c = mesh_->coord_of(tile);
-  switch (dir) {
-    case PortDir::kNorth:
-      NOCMAP_REQUIRE(c.row > 0, "no north neighbor");
-      return mesh_->tile_at(c.layer, c.row - 1, c.col);
-    case PortDir::kSouth:
-      NOCMAP_REQUIRE(c.row + 1 < mesh_->rows(), "no south neighbor");
-      return mesh_->tile_at(c.layer, c.row + 1, c.col);
-    case PortDir::kEast:
-      NOCMAP_REQUIRE(c.col + 1 < mesh_->cols(), "no east neighbor");
-      return mesh_->tile_at(c.layer, c.row, c.col + 1);
-    case PortDir::kWest:
-      NOCMAP_REQUIRE(c.col > 0, "no west neighbor");
-      return mesh_->tile_at(c.layer, c.row, c.col - 1);
-    case PortDir::kUp:
-      NOCMAP_REQUIRE(c.layer + 1 < mesh_->layers(), "no up neighbor");
-      return mesh_->tile_at(c.layer + 1, c.row, c.col);
-    case PortDir::kDown:
-      NOCMAP_REQUIRE(c.layer > 0, "no down neighbor");
-      return mesh_->tile_at(c.layer - 1, c.row, c.col);
-    case PortDir::kLocal:
-      break;
-  }
-  throw Error("local port has no neighbor");
-}
-
 void Network::inject_packet(const PacketInfo& info) {
   NOCMAP_REQUIRE(info.src != info.dst,
                  "local accesses bypass the network (traffic layer bug)");
@@ -234,7 +207,7 @@ void Network::tick_routers(Domain& d) {
           bucket_at(d, now_ + 1).ni_credits.push_back(
               {t, PortDir::kLocal, dep.in_vc});
         } else {
-          const TileId up = neighbor(t, dep.in_port);
+          const TileId up = neighbor_of(*mesh_, t, dep.in_port);
           const PendingCredit credit{up, opposite(dep.in_port), dep.in_vc};
           if (up >= d.first && up < d.end) {
             bucket_at(d, now_ + 1).credits.push_back(credit);
@@ -246,7 +219,7 @@ void Network::tick_routers(Domain& d) {
         if (dep.out_port == PortDir::kLocal) {
           bucket_at(d, now_ + 1).sinks.push_back({t, dep.out_vc, dep.flit});
         } else {
-          const TileId down = neighbor(t, dep.out_port);
+          const TileId down = neighbor_of(*mesh_, t, dep.out_port);
           Flit forwarded = dep.flit;
           ++forwarded.hops;  // distance credit for the arbiter
           const bool vertical = dep.out_port == PortDir::kUp ||

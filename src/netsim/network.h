@@ -209,7 +209,6 @@ class Network {
     return row_domain_[tile / cols_];
   }
   Bucket& bucket_at(Domain& d, Cycle cycle);
-  TileId neighbor(TileId tile, PortDir dir) const;
 
   /// The parallel phase of one cycle for one domain: deliver due events,
   /// inject from NIs, tick routers. Touches only `d`'s state (plus the

@@ -4,23 +4,11 @@
 
 namespace nocmap {
 
-PortDir opposite(PortDir d) {
-  switch (d) {
-    case PortDir::kNorth: return PortDir::kSouth;
-    case PortDir::kEast: return PortDir::kWest;
-    case PortDir::kSouth: return PortDir::kNorth;
-    case PortDir::kWest: return PortDir::kEast;
-    case PortDir::kLocal: return PortDir::kLocal;
-    case PortDir::kUp: return PortDir::kDown;
-    case PortDir::kDown: return PortDir::kUp;
-  }
-  return PortDir::kLocal;
-}
-
 RouterEngine::RouterEngine(const Mesh& mesh, const NetworkConfig& config,
                            std::size_t num_routers, TileId first_tile)
     : mesh_(&mesh),
       config_(config),
+      first_tile_(first_tile),
       num_routers_(num_routers),
       vcs_(config.vcs_per_port),
       depth_(config.buffer_depth),
@@ -49,13 +37,11 @@ RouterEngine::RouterEngine(const Mesh& mesh, const NetworkConfig& config,
   active_words_.assign((num_routers + 63) / 64, 0);
 
   arbiter_rng_.reserve(num_routers);
-  coord_.reserve(num_routers);
   for (std::size_t r = 0; r < num_routers; ++r) {
     const auto tile = static_cast<TileId>(first_tile + r);
     arbiter_rng_.emplace_back(
         splitmix64(config.arbitration_seed) ^
         splitmix64(static_cast<std::uint64_t>(tile) + 1));
-    coord_.push_back(mesh.coord_of(tile));
   }
   for (std::size_t p = 0; p < kNumPorts; ++p) {
     port_slot_mask_[p] = ((1ull << vcs_) - 1) << (p * vcs_);
@@ -94,31 +80,6 @@ void RouterEngine::receive_credit(std::size_t router, PortDir port,
   ++out_credits_[idx];
 }
 
-PortDir RouterEngine::route(std::size_t router, TileId dst, bool yx) const {
-  const TileCoord here = coord_[router];
-  const TileCoord there = mesh_->coord_of(dst);
-  if (yx) {
-    // Y (rows) first, then X (columns), then Z (layers).
-    if (there.row > here.row) return PortDir::kSouth;
-    if (there.row < here.row) return PortDir::kNorth;
-    if (there.col > here.col) return PortDir::kEast;
-    if (there.col < here.col) return PortDir::kWest;
-    if (there.layer > here.layer) return PortDir::kUp;
-    if (there.layer < here.layer) return PortDir::kDown;
-    return PortDir::kLocal;
-  }
-  // Dimension order: X (columns) first, then Y (rows), then Z (layers).
-  // Resolving Z last keeps both sub-routes deadlock-free (strict dimension
-  // order) and means planar traffic never touches the TSV ports.
-  if (there.col > here.col) return PortDir::kEast;
-  if (there.col < here.col) return PortDir::kWest;
-  if (there.row > here.row) return PortDir::kSouth;
-  if (there.row < here.row) return PortDir::kNorth;
-  if (there.layer > here.layer) return PortDir::kUp;
-  if (there.layer < here.layer) return PortDir::kDown;
-  return PortDir::kLocal;
-}
-
 void RouterEngine::tick(std::size_t router, Cycle now,
                         std::vector<Departure>& out) {
   const std::uint32_t vcs = vcs_;
@@ -140,8 +101,9 @@ void RouterEngine::tick(std::size_t router, Cycle now,
     const Flit& head = pool_[idx * depth_ + fifo_head_[idx]];
     if (head.is_head) {  // body/tail: route already held
       if (!route_valid_[idx]) {
-        out_port_[idx] =
-            static_cast<std::uint8_t>(route(router, head.dst, head.yx));
+        out_port_[idx] = static_cast<std::uint8_t>(next_port(
+            *mesh_, first_tile_ + static_cast<TileId>(router), head.dst,
+            head.yx));
         route_valid_[idx] = 1;
       }
       if (!out_vc_valid_[idx]) {

@@ -4,9 +4,10 @@
 // Micro-architecture modelled per cycle:
 //  * Input units: per input port, per VC, a FIFO flit buffer of fixed depth.
 //    A VC holds one packet at a time (allocated head → tail).
-//  * Route computation: XY dimension-order, performed when a head flit
-//    reaches the buffer head (look-ahead routing is folded into the fixed
-//    3-cycle pipeline latency).
+//  * Route computation: dimension-order (XYZ, or YXZ for the Y-first
+//    sub-route) by the routing layer's next_port (topology/routing.h),
+//    performed when a head flit reaches the buffer head (look-ahead routing
+//    is folded into the fixed 3-cycle pipeline latency).
 //  * VC allocation: a head flit claims a free VC of the downstream input
 //    port (lowest-index free VC wins).
 //  * Switch allocation: separable round-robin — each output port grants one
@@ -35,32 +36,10 @@
 #include <vector>
 
 #include "netsim/types.h"
+#include "topology/routing.h"
 #include "util/rng.h"
 
 namespace nocmap {
-
-/// Mesh router ports. kLocal connects to the tile's network interface;
-/// kUp/kDown are the TSV ports of a stacked mesh. They come *after* kLocal
-/// so the (port, vc) slot numbering of a planar router — and with it every
-/// round-robin arbitration decision — is unchanged from the 5-port layout:
-/// on a 2D mesh slots of ports 5–6 are never occupied, and the allocator
-/// skips empty slots, so the extra ports are exactly inert.
-enum class PortDir : std::uint8_t {
-  kNorth = 0,
-  kEast = 1,
-  kSouth = 2,
-  kWest = 3,
-  kLocal = 4,
-  kUp = 5,
-  kDown = 6,
-};
-inline constexpr std::size_t kNumPorts = 7;
-
-inline std::size_t port_index(PortDir d) { return static_cast<std::size_t>(d); }
-
-/// Opposite direction (the input port a flit arrives on after traversing a
-/// link out of `d`).
-PortDir opposite(PortDir d);
 
 /// A flit leaving a router this cycle.
 struct Departure {
@@ -123,10 +102,6 @@ class RouterEngine {
   }
 
  private:
-  /// Dimension-order route for a destination from `router` (X-first, or
-  /// Y-first when the flit carries the YX sub-route).
-  PortDir route(std::size_t router, TileId dst, bool yx) const;
-
   /// Index into the per-input-VC arrays.
   std::size_t vc_index(std::size_t router, std::size_t port,
                        std::uint32_t vc) const {
@@ -135,6 +110,7 @@ class RouterEngine {
 
   const Mesh* mesh_;
   NetworkConfig config_;
+  TileId first_tile_ = 0;  ///< tile of router 0
   std::size_t num_routers_ = 0;
   std::uint32_t vcs_ = 0;
   std::uint32_t depth_ = 0;
@@ -162,7 +138,6 @@ class RouterEngine {
   std::vector<std::uint32_t> buffered_;
   std::vector<ActivityCounters> activity_;
   std::vector<Rng> arbiter_rng_;      ///< distance-weighted draws
-  std::vector<TileCoord> coord_;      ///< cached mesh coordinates
   std::array<std::uint64_t, kNumPorts> port_slot_mask_{};
 
   std::vector<std::uint64_t> active_words_;

@@ -66,23 +66,6 @@ RouterLoadSummary summarize_load(const Network& net, const Mesh& mesh,
 
 }  // namespace
 
-std::uint64_t num_directed_links(const Mesh& mesh) {
-  const std::uint64_t r = mesh.rows();
-  const std::uint64_t c = mesh.cols();
-  const std::uint64_t l = mesh.layers();
-  std::uint64_t undirected = (r * (c - 1) + c * (r - 1)) * l;
-  // Vertical (TSV) links between adjacent layers, one per tile position.
-  undirected += (l - 1) * r * c;
-  if (mesh.is_torus()) {
-    // A wrap link is a *distinct* adjacent pair only when the wrapped
-    // dimension has >= 3 tiles: at width 2 the wrap connects the same two
-    // tiles as the existing mesh link, and at width 1 it is a self-loop.
-    if (c >= 3) undirected += r;  // one horizontal wrap per row
-    if (r >= 3) undirected += c;  // one vertical wrap per column
-  }
-  return 2 * undirected;
-}
-
 SimResult run_simulation(const ObmProblem& problem, const Mapping& mapping,
                          const SimConfig& config) {
   const obs::ScopedTimer run_scope(t_run);

@@ -14,6 +14,7 @@
 #include "core/parallel.h"
 #include "core/problem.h"
 #include "netsim/traffic.h"
+#include "topology/routing.h"  // num_directed_links
 #include "util/stats.h"
 
 namespace nocmap {
@@ -38,13 +39,6 @@ struct SimConfig {
   TrafficConfig traffic;
   NetworkConfig network;
 };
-
-/// Directed inter-router links in the mesh: each adjacent tile pair
-/// contributes one link per direction. Torus wrap links only count where
-/// the wrapped dimension has >= 3 tiles — at width 2 the wrap coincides
-/// with the existing adjacent-pair link and at width 1 it is a self-loop,
-/// so counting it would deflate link_utilization.
-std::uint64_t num_directed_links(const Mesh& mesh);
 
 /// Measurement-window load digest across routers and links — the netsim
 /// counters surfaced through RunReports (docs/metrics-schema.md). All rates

@@ -54,7 +54,7 @@ class DsentLitePowerModel {
 
   /// Converts measured activity over `cycles` into a power report for a
   /// network with `num_routers` routers and `num_links` unidirectional
-  /// inter-router links.
+  /// inter-router links (num_directed_links, topology/routing.h).
   PowerReport report(const ActivityCounters& activity, Cycle cycles,
                      std::size_t num_routers, std::size_t num_links) const;
 
@@ -64,10 +64,5 @@ class DsentLitePowerModel {
  private:
   PowerParams params_;
 };
-
-/// Number of unidirectional inter-router links in a (possibly stacked)
-/// mesh: 2 · ((rows·(cols−1) + cols·(rows−1))·layers + (layers−1)·rows·cols)
-/// — planar links per layer plus the TSVs between adjacent layers.
-std::size_t mesh_link_count(const Mesh& mesh);
 
 }  // namespace nocmap

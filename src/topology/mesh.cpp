@@ -102,6 +102,12 @@ void Mesh::init() {
   NOCMAP_REQUIRE(tsv_hop_cost_ > 0.0, "TSV hop cost must be positive");
   NOCMAP_REQUIRE(!mc_tiles_.empty(), "mesh needs at least one MC tile");
   const std::size_t n = num_tiles();
+  const auto per_layer = static_cast<std::uint32_t>(tiles_per_layer());
+  coords_.resize(n);
+  for (TileId t = 0; t < n; ++t) {
+    const std::uint32_t rem = t % per_layer;
+    coords_[t] = {rem / cols_, rem % cols_, t / per_layer};
+  }
   is_mc_.assign(n, 0);
   for (TileId t : mc_tiles_) {
     NOCMAP_REQUIRE(t < n, "MC tile id out of range");
@@ -126,13 +132,6 @@ void Mesh::init() {
     mc_distance_[t] = hops(t, best_mc);
     mc_weighted_[t] = best;
   }
-}
-
-TileCoord Mesh::coord_of(TileId t) const {
-  NOCMAP_REQUIRE(t < num_tiles(), "tile id out of range");
-  const auto per_layer = static_cast<std::uint32_t>(tiles_per_layer());
-  const std::uint32_t rem = t % per_layer;
-  return {rem / cols_, rem % cols_, t / per_layer};
 }
 
 TileId Mesh::tile_at(TileCoord c) const {

@@ -8,9 +8,9 @@
 // id = layer*(rows*cols) + row*cols + col, so layer 0 of a 3D mesh uses the
 // same ids as the equivalent 2D mesh.
 //
-// Routing is dimension-order (XY on a planar mesh, XYZ on a stack), so the
-// hop count between two tiles is the Manhattan distance across all
-// dimensions. Vertical (through-silicon-via) hops may be cheaper or dearer
+// Routing is dimension-order (XY on a planar mesh, XYZ on a stack; the rule
+// itself lives in topology/routing.h), so the hop count between two tiles
+// is the Manhattan distance across all dimensions. Vertical (through-silicon-via) hops may be cheaper or dearer
 // than planar hops; `tsv_hop_cost` expresses a TSV traversal in units of
 // planar hops and feeds the weighted distances used by the latency model.
 //
@@ -113,7 +113,11 @@ class Mesh {
   /// Cost of one vertical hop in units of planar hops (1.0 on a 2D mesh).
   double tsv_hop_cost() const { return tsv_hop_cost_; }
 
-  TileCoord coord_of(TileId t) const;
+  /// Precomputed in init(), so this is a load, not three divisions.
+  TileCoord coord_of(TileId t) const {
+    NOCMAP_REQUIRE(t < coords_.size(), "tile id out of range");
+    return coords_[t];
+  }
   TileId tile_at(TileCoord c) const;
   TileId tile_at(std::uint32_t row, std::uint32_t col) const;
   TileId tile_at(std::uint32_t layer, std::uint32_t row,
@@ -166,6 +170,7 @@ class Mesh {
   Wraparound wraparound_ = Wraparound::kNone;
   double tsv_hop_cost_ = 1.0;
   std::vector<TileId> mc_tiles_;
+  std::vector<TileCoord> coords_;           // indexed by TileId
   std::vector<std::uint8_t> is_mc_;         // indexed by TileId
   std::vector<TileId> nearest_mc_;          // precomputed per tile
   std::vector<std::uint32_t> mc_distance_;  // plain hops to nearest_mc_[t]

@@ -26,6 +26,17 @@ ObmProblem single_flow_problem(double memory_rate) {
                     Workload({a}).padded_to(16));
 }
 
+/// One thread with memory traffic only on a 2-layer 4×4 stack with the
+/// paper's corner MCs on the base layer, rest idle.
+ObmProblem stacked_memory_problem(MemoryTrafficMode mode) {
+  const Mesh mesh = Mesh::stacked_with_placement(2, 4, McPlacement::kCorners);
+  Application a;
+  a.name = "one";
+  a.threads = {{0.0, 1000.0}};
+  return ObmProblem(TileLatencyModel(mesh, LatencyParams{}, mode),
+                    Workload({a}).padded_to(32));
+}
+
 TEST(Contention, SingleFlowLoadsExactPath) {
   // Thread on tile (1,1); nearest MC is the (0,0) corner. XY path:
   // (1,1) -> (1,0) -> (0,0). Request 1 flit + reply 5 flits, rate 1000/kc
@@ -48,6 +59,65 @@ TEST(Contention, SingleFlowLoadsExactPath) {
   EXPECT_NEAR(model.link_load(mesh.tile_at(0, 1), t11), 5.0, 1e-12);
   // Unrelated link untouched.
   EXPECT_NEAR(model.link_load(mesh.tile_at(3, 3), mesh.tile_at(3, 2)), 0.0,
+              1e-12);
+}
+
+TEST(Contention, StackedFlowLoadsTsvLinks) {
+  // Thread on (layer 1, row 1, col 1); nearest MC is the (0,0) corner of
+  // layer 0. XYZ request path: west, north, then down the TSV at (0,0);
+  // the reply climbs the TSV at (1,1) last.
+  const ObmProblem p = stacked_memory_problem(MemoryTrafficMode::kProximity);
+  const Mesh& mesh = p.mesh();
+  Mapping m = p.identity_mapping();
+  const TileId s = mesh.tile_at(1u, 1u, 1u);
+  std::swap(m.thread_to_tile[0], m.thread_to_tile[s]);
+  ContentionConfig cfg;
+  cfg.reply_flits = 5.0;
+  const ContentionModel model(p, m, cfg);
+
+  EXPECT_NEAR(model.link_load(s, mesh.tile_at(1u, 1u, 0u)), 1.0, 1e-12);
+  EXPECT_NEAR(model.link_load(mesh.tile_at(1u, 0u, 0u),
+                              mesh.tile_at(0u, 0u, 0u)),
+              1.0, 1e-12);  // request TSV, down
+  EXPECT_NEAR(model.link_load(mesh.tile_at(0u, 1u, 1u), s), 5.0,
+              1e-12);  // reply TSV, up
+  EXPECT_NEAR(model.link_load(mesh.tile_at(0u, 0u, 0u),
+                              mesh.tile_at(1u, 0u, 0u)),
+              0.0, 1e-12);
+  EXPECT_NEAR(model.total_flit_hops(), 3.0 * (1.0 + 5.0), 1e-12);
+  // A TSV pair is adjacent; a diagonal across layers is not.
+  EXPECT_THROW(model.link_load(mesh.tile_at(0u, 0u, 0u),
+                               mesh.tile_at(1u, 0u, 1u)),
+               Error);
+}
+
+TEST(Contention, StackedMulticastSharesTreePrefixes) {
+  // Multicast from (layer 1, row 1, col 1) to the four base-layer corners:
+  // XYZ tree east to col 3 and west to col 0, then north/south, then one
+  // TSV down at each corner. Shared prefixes carry the request once.
+  const ObmProblem p = stacked_memory_problem(MemoryTrafficMode::kMulticast);
+  const Mesh& mesh = p.mesh();
+  Mapping m = p.identity_mapping();
+  const TileId s = mesh.tile_at(1u, 1u, 1u);
+  std::swap(m.thread_to_tile[0], m.thread_to_tile[s]);
+  ContentionConfig cfg;
+  cfg.include_replies = false;
+  const ContentionModel model(p, m, cfg);
+
+  // East leg (1,1,1)->(1,1,2)->(1,1,3) serves two corners, once.
+  EXPECT_NEAR(model.link_load(s, mesh.tile_at(1u, 1u, 2u)), 1.0, 1e-12);
+  EXPECT_NEAR(model.link_load(mesh.tile_at(1u, 1u, 2u),
+                              mesh.tile_at(1u, 1u, 3u)),
+              1.0, 1e-12);
+  for (TileId mc : mesh.mc_tiles()) {
+    const TileCoord c = mesh.coord_of(mc);
+    EXPECT_NEAR(model.link_load(mesh.tile_at(1u, c.row, c.col), mc), 1.0,
+                1e-12)
+        << "TSV down to MC " << mc;
+  }
+  // Tree links: east 2 + west 1, then per column north 1 + south 2, then
+  // four TSVs.
+  EXPECT_NEAR(model.total_flit_hops(), 2.0 + 1.0 + 2 * (1.0 + 2.0) + 4.0,
               1e-12);
 }
 
@@ -180,6 +250,12 @@ TEST(Contention, InvalidInputsRejected) {
   ContentionConfig cfg;
   cfg.injection_scale = 0.0;
   EXPECT_THROW(ContentionModel(p, p.identity_mapping(), cfg), Error);
+  // A torus: the XYZ walk would go the long way round while Mesh::hops
+  // wraps, so the model refuses it, as the simulator does.
+  const ObmProblem torus(
+      TileLatencyModel(Mesh::square_torus(8), LatencyParams{}),
+      synthesize_workload(parsec_config("C1"), 41));
+  EXPECT_THROW(ContentionModel(torus, torus.identity_mapping()), Error);
 }
 
 }  // namespace

@@ -23,6 +23,22 @@ TEST(Mesh, CoordinateRoundTrip) {
   }
 }
 
+TEST(Mesh, CoordinateTableMatchesIdArithmetic) {
+  // coord_of reads a table filled once per mesh; it must agree with the
+  // layer-major id arithmetic on every shape.
+  for (const Mesh& m : {Mesh::square(8), Mesh(3, 5, {0}),
+                        Mesh(4, 8, 8, {0}), Mesh::square_torus(5)}) {
+    const auto per_layer = static_cast<TileId>(m.tiles_per_layer());
+    for (TileId t = 0; t < m.num_tiles(); ++t) {
+      const TileCoord c = m.coord_of(t);
+      EXPECT_EQ(c.layer, t / per_layer);
+      EXPECT_EQ(c.row, t % per_layer / m.cols());
+      EXPECT_EQ(c.col, t % per_layer % m.cols());
+    }
+    EXPECT_THROW(m.coord_of(static_cast<TileId>(m.num_tiles())), Error);
+  }
+}
+
 // Paper eq. 1 worked example: "the 29-th tile in Figure 1 (where n = 8) is
 // located at the fourth row (from the top), fifth column (from the left)".
 TEST(Mesh, PaperNumberingExample) {
